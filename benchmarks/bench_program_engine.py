@@ -8,7 +8,7 @@ use.  This bench answers two questions for the non-PageRank programs:
 * **Is it the same answer?**  ``--program kcore`` through the postmortem
   driver must match the generic kernel-driver path (``core_numbers`` per
   window) *exactly* — both peel the identical undirected simple window
-  graph.  ``--program katz`` uses the backend propagation contract where
+  graph.  ``--program katz`` uses the SpMV gather→reduce step where
   the legacy ``katz_window`` kernel uses a segment-sum reduce; the two
   summation orders round differently, so the gate is a tight value
   tolerance on the normalized vectors, not bitwise identity.
@@ -49,7 +49,7 @@ N_MULTIWINDOWS = 6
 #: propagation orders converge to the same fixed point
 KATZ_CFG = KatzConfig(tolerance=1e-10, max_iterations=300)
 
-#: allowed value divergence between the backend-propagation and
+#: allowed value divergence between the gather→reduce and
 #: segment-sum Katz fixed points (normalized vectors)
 KATZ_ATOL = 5e-7
 
@@ -93,7 +93,7 @@ def test_program_engine():
         np.array_equal(a, b) for a, b in zip(eng_kcore, ker_kcore)
     )
 
-    # -- Katz: backend propagation vs segment-sum → tight tolerance ------
+    # -- Katz: gather→reduce vs segment-sum → tight tolerance ------------
     program = KatzProgram(config=KATZ_CFG, routing=BENCH_CONFIG)
     eng_katz, eng_katz_s = _engine_run(events, spec, program)
     ker_katz, ker_katz_s = _kernel_run(events, spec, katz_values)

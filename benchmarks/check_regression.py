@@ -62,14 +62,6 @@ GUARDED = {
         (("katz", "engine_over_kernel"),
          "engine/kernel-driver Katz wall-clock"),
     ],
-    # back-to-back same-machine ratios: the NumPy partitioning overhead
-    # and the auto policy's slack over the measured best fixed backend
-    "backends": [
-        (("propagate_large_v", "pcpm_over_numpy"),
-         "pcpm/numpy per-iteration propagate time"),
-        (("auto", "auto_over_best"),
-         "auto/best-fixed full-kernel time"),
-    ],
     # no guarded ratios: the out-of-core contract is the RSS-bound and
     # parity flags below (wall-clock and absolute RSS are machine facts)
     "outofcore": [],
@@ -105,14 +97,6 @@ REQUIRED_FLAGS = {
     "program_engine": [
         ("kcore", "match_exact"),
         ("katz", "match_close"),
-    ],
-    "backends": [
-        ("parity", "spmv"),
-        ("parity", "weighted"),
-        ("parity", "spmm"),
-        ("parity", "pb"),
-        ("auto", "auto_within_bound"),
-        ("workstats", "recorded"),
     ],
     "outofcore": [
         ("parity", "adjacency_match"),

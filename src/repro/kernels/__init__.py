@@ -12,9 +12,8 @@ temporal-CSR window machinery:
 * :mod:`repro.kernels.katz` — Katz centrality (iterative, with the same
   partial-initialization warm start the paper develops for PageRank).
 
-:class:`repro.programs.adapter.TemporalKernelDriver` (re-exported here;
-``repro.kernels.driver`` remains as a deprecated alias module) runs any
-per-window kernel over a window spec through the multi-window
+:class:`repro.programs.adapter.TemporalKernelDriver` (re-exported here)
+runs any per-window kernel over a window spec through the multi-window
 representation on the vertex-program engine.
 """
 

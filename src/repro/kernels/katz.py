@@ -78,9 +78,7 @@ def katz_window(
     n = adjacency.n_vertices
     n_active = view.n_active_vertices
     if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
+        return PagerankResult.inactive(n)
 
     in_csr = adjacency.in_csr
     dedup = view.in_dedup

@@ -30,7 +30,7 @@ class WindowResult:
     For the PageRank models ``values`` is the solved rank vector; it may
     be None when the driver runs with ``store_values=False`` (benchmark
     mode: keep the summary, drop the vectors).  Generic kernel runs
-    (:class:`repro.kernels.driver.TemporalKernelDriver`) instead fill
+    (:class:`repro.programs.adapter.TemporalKernelDriver`) instead fill
     ``value`` with the kernel's per-window output — a scalar, a small
     array, whatever the kernel returns — and leave the solver fields at
     their defaults.

@@ -8,7 +8,7 @@ comparison beyond PageRank: run any per-window kernel under
 * **offline** — rebuild the window's CSR from the event log each time;
 * **streaming** — slide the STINGER-like structure and snapshot it;
 * **postmortem** — the multi-window temporal CSR
-  (:class:`~repro.kernels.driver.TemporalKernelDriver`).
+  (:class:`~repro.programs.adapter.TemporalKernelDriver`).
 
 Kernels receive a :class:`~repro.graph.temporal_csr.WindowView` in the
 postmortem model and a ``(CSRGraph, active_mask)`` pair in the other two;

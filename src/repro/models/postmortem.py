@@ -169,14 +169,12 @@ class PostmortemDriver:
         self.options = options
         # executor authority stays with PostmortemOptions (the model's
         # tuning surface); the context contributes sinks, hooks and the
-        # runtime edge-path/backend/program overrides
+        # runtime edge-path/program overrides
         self.context = (
             context if context is not None else DriverContext()
         ).with_execution(options.executor, options.n_threads)
         if self.context.edge_path is not None:
             config = replace(config, edge_path=self.context.edge_path)
-        if self.context.backend is not None:
-            config = replace(config, backend=self.context.backend)
         self.config = config
         if program is None:
             program = self.context.program
@@ -398,7 +396,6 @@ class PostmortemDriver:
         result.metadata["n_multiwindows"] = len(partition)
         result.metadata["replication_factor"] = partition.replication_factor
         result.metadata["materialize"] = "lazy" if lazy else "eager"
-        result.metadata["backend"] = self.config.backend
         result.metadata["program"] = self.program.name
         result.metadata["task_log"] = task_log
         result.metadata["options"] = self.options

@@ -13,18 +13,10 @@
   across the windows of one partial-initialization chain.
 * :mod:`repro.pagerank.compaction` — per-window active-edge packing (the
   literal Θ(|E_w|) iteration) and the masked/compacted path resolution.
-* :mod:`repro.pagerank.backends` — pluggable execution strategies for the
-  per-iteration gather→reduce step (flat NumPy, PCPM destination
-  partitioning, optional numba JIT) behind one bitwise-identical contract.
 * :mod:`repro.pagerank.incremental` — warm-startable power iteration on a
   simple CSR graph (offline cold start, streaming warm start).
 """
 
-from repro.pagerank.backends import (
-    backend_availability,
-    create_backend,
-    resolve_backend,
-)
 from repro.pagerank.compaction import (
     CompactedPull,
     CompactedUnion,
@@ -72,7 +64,4 @@ __all__ = [
     "compact_pull_union",
     "compact_push",
     "resolve_edge_path",
-    "backend_availability",
-    "create_backend",
-    "resolve_backend",
 ]

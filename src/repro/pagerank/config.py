@@ -26,7 +26,6 @@ __all__ = ["PagerankConfig"]
 
 _DANGLING_MODES = ("drop", "uniform")
 _EDGE_PATHS = ("auto", "masked", "compacted")
-_BACKENDS = ("auto", "numpy", "pcpm", "numba")
 
 
 @dataclass(frozen=True)
@@ -59,20 +58,6 @@ class PagerankConfig:
         activity ratio and expected iteration count via
         :func:`repro.parallel.cost_model.choose_edge_path`.  All three
         produce bitwise-identical values.
-    backend:
-        Execution strategy for the per-iteration gather→reduce step
-        (:mod:`repro.pagerank.backends`): ``"numpy"`` (flat full-width
-        pass), ``"pcpm"`` (destination-partitioned reduce under the
-        cache budget, after Lakhotia et al.), ``"numba"`` (PCPM with a
-        JIT-fused reduce; degrades to pcpm when numba is absent), or
-        ``"auto"`` (default: ask
-        :func:`repro.parallel.cost_model.choose_backend`, composing with
-        the resolved ``edge_path``).  All backends produce
-        bitwise-identical values.
-    cache_budget:
-        Per-partition rank-slice budget in bytes for the partitioned
-        backends (``cache_budget // 8`` vertices per partition); also the
-        threshold below which ``backend="auto"`` never partitions.
     """
 
     alpha: float = 0.15
@@ -81,8 +66,6 @@ class PagerankConfig:
     dangling: str = "uniform"
     strict: bool = False
     edge_path: str = "auto"
-    backend: str = "auto"
-    cache_budget: int = 262_144
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -104,15 +87,6 @@ class PagerankConfig:
             raise ValidationError(
                 f"edge_path must be one of {_EDGE_PATHS}, "
                 f"got {self.edge_path!r}"
-            )
-        if self.backend not in _BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
-        if self.cache_budget <= 0:
-            raise ValidationError(
-                f"cache_budget must be > 0 bytes, got {self.cache_budget}"
             )
 
     @property

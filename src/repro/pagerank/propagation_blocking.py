@@ -17,65 +17,83 @@ the ablation bench verify.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ValidationError
+from repro.errors import ValidationError
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.backends import resolve_backend
-from repro.pagerank.backends.pcpm import accumulate_binned
 from repro.pagerank.compaction import compact_push
 from repro.pagerank.config import PagerankConfig
-from repro.pagerank.init import full_initialization
-from repro.pagerank.result import PagerankResult, WorkStats
+from repro.pagerank.result import PagerankResult
+from repro.pagerank.spmv import power_iteration
+from repro.pagerank.workspace import Workspace
 
-__all__ = ["PropagationBlockingKernel", "pagerank_window_pb"]
+__all__ = [
+    "PropagationBlockingKernel",
+    "accumulate_binned",
+    "pagerank_window_pb",
+]
+
+
+def accumulate_binned(
+    contrib: np.ndarray,
+    dst: np.ndarray,
+    bin_starts: np.ndarray,
+    bin_ends: np.ndarray,
+    bin_width: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Per-bin sequential accumulation (the PB accumulation phase).
+
+    ``contrib``/``dst`` are grouped by destination bin (bin ``b`` spans
+    ``bin_starts[b]:bin_ends[b]``); each bin's sums land in
+    ``out[b*bin_width : b*bin_width + width]`` additively, so ``out`` must
+    arrive zero-filled.  ``np.bincount`` keeps the within-destination
+    accumulation strictly sequential, which is why the PB kernel is
+    bitwise-invariant in the bin width.
+    """
+    n = out.shape[0]
+    for b in range(bin_starts.size):
+        lo, hi = int(bin_starts[b]), int(bin_ends[b])
+        if lo == hi:
+            continue
+        base = b * bin_width
+        width = min(bin_width, n - base)
+        out[base: base + width] += np.bincount(
+            dst[lo:hi] - base, weights=contrib[lo:hi], minlength=width
+        )
+    return out
 
 
 class PropagationBlockingKernel:
     """Reusable binned-push kernel state for one window view.
 
     The bin permutation is computed once per window: out-oriented active
-    edges are grouped by destination bin (``dst >> log2(bin_width)``), so
-    each iteration only gathers, scatters into bin-contiguous buffers, and
-    accumulates bin by bin.
-
-    ``backend`` optionally supplies the destination-bin width policy
-    (:meth:`~repro.pagerank.backends.base.KernelBackend.pb_bin_width`):
-    the cache-budgeted backends size PB's bins exactly like their pull
-    partitions, so one ``cache_budget`` knob governs both directions.
-    The per-bin accumulation itself is the shared
-    :func:`~repro.pagerank.backends.pcpm.accumulate_binned`, and the
-    output is bitwise-invariant in the bin width (each destination lives
-    in one bin; the stable sort preserves within-destination order).
+    edges are grouped by destination bin (``dst // bin_width``), so each
+    iteration only gathers, scatters into bin-contiguous buffers, and
+    accumulates bin by bin with :func:`accumulate_binned`.  The output is
+    bitwise-invariant in the bin width (each destination lives in one
+    bin; the stable sort preserves within-destination order).
     """
 
     def __init__(
-        self, view: WindowView, n_bins: int = 16, workspace=None,
-        backend=None,
+        self, view: WindowView, n_bins: int = 16,
+        workspace: Optional[Workspace] = None,
     ) -> None:
         if n_bins <= 0:
             raise ValidationError("n_bins must be > 0")
         self.view = view
-        self.workspace = workspace
-        adjacency = view.adjacency
+        self.workspace = workspace if workspace is not None else Workspace()
 
         # PB is inherently compacted: it always packs the window's active
-        # out-edges (workspace-backed when one is supplied); the argsort
-        # below then produces owned, bin-grouped copies of the slices
-        self.src, self.dst = compact_push(view, workspace=workspace)
-        self.n_vertices = adjacency.n_vertices
+        # out-edges into workspace scratch; the argsort below then
+        # produces owned, bin-grouped copies of the slices
+        self.src, self.dst = compact_push(view, workspace=self.workspace)
+        self.n_vertices = view.adjacency.n_vertices
 
-        if backend is not None:
-            bin_width = max(
-                1, backend.pb_bin_width(self.n_vertices, n_bins)
-            )
-            self.n_bins = max(1, -(-self.n_vertices // bin_width))
-        else:
-            self.n_bins = min(n_bins, max(self.n_vertices, 1))
-            bin_width = -(-self.n_vertices // self.n_bins)
+        self.n_bins = min(n_bins, max(self.n_vertices, 1))
+        bin_width = -(-self.n_vertices // self.n_bins)
         bins = self.dst // max(bin_width, 1)
         order = np.argsort(bins, kind="stable")
         self.src = self.src[order]
@@ -92,20 +110,17 @@ class PropagationBlockingKernel:
         """One push phase: ``y[v] = Σ_{(u, v) active} w[u]`` via binning.
 
         ``w`` is the per-source share vector (``x * inv_outdeg``).  ``out``
-        optionally receives the result in place (fully overwritten); with a
-        kernel workspace the gather buffer is recycled across iterations.
+        optionally receives the result in place (fully overwritten); the
+        gather buffer is recycled across iterations through the kernel's
+        workspace.
         """
         # phase 1: binning — one streaming gather into bin-grouped buffers
-        ws = self.workspace
-        if ws is None:
-            contrib = w[self.src]
-        else:
-            contrib = ws.buffer(
-                "pb.contrib", (self.src.size,), np.float64
-            )
-            np.take(w, self.src, out=contrib)
+        contrib = self.workspace.buffer(
+            "pb.contrib", (self.src.size,), np.float64
+        )
+        np.take(w, self.src, out=contrib)
         # phase 2: per-bin accumulation — each bin's destination range is
-        # contiguous and cache-sized (shared with the PCPM pull backend)
+        # contiguous and cache-sized
         if out is None:
             y = np.zeros(self.n_vertices, dtype=np.float64)
         else:
@@ -123,107 +138,30 @@ def pagerank_window_pb(
     x0: Optional[np.ndarray] = None,
     n_bins: int = 16,
     kernel: Optional[PropagationBlockingKernel] = None,
-    workspace=None,
+    workspace: Optional[Workspace] = None,
 ) -> PagerankResult:
     """Window PageRank with the propagation-blocking push kernel.
 
     Produces the same iterates as :func:`~repro.pagerank.spmv.
     pagerank_window` (the reduction order differs only within bins).
-    ``workspace`` recycles the gather and rank scratch across windows;
-    returned values are always freshly owned.
+    ``workspace`` recycles the gather and rank scratch across windows (the
+    kernel's own workspace when absent); returned values are always
+    freshly owned.
     """
     n = view.adjacency.n_vertices
-    n_active = view.n_active_vertices
-    if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
-    ws = workspace
-    work = WorkStats()
+    if view.n_active_vertices == 0:
+        return PagerankResult.inactive(n)
     if kernel is None:
-        # the backend only contributes its bin-width policy here; the PB
-        # push is already destination-binned by construction
-        backend = resolve_backend(config, view.n_active_edges, n, None)
-        t_bin = time.perf_counter()
         kernel = PropagationBlockingKernel(
-            view, n_bins=n_bins, workspace=ws, backend=backend
+            view, n_bins=n_bins, workspace=workspace
         )
-        work.binning_seconds += time.perf_counter() - t_bin
-    elif ws is None:
-        ws = kernel.workspace
-
-    inv_out = view.inverse_out_degrees()
-    active_mask = view.active_vertices_mask
+    ws = workspace if workspace is not None else kernel.workspace
     # precomputed dangling index set: the boolean-mask formulation
     # re-scans and copies Θ(n) every iteration
-    dangling_idx = np.flatnonzero(active_mask & (view.out_degrees == 0))
-
-    if ws is not None:
-        rank0 = ws.buffer("pb.rank0", (n,), np.float64)
-        rank1 = ws.buffer("pb.rank1", (n,), np.float64)
-        w_buf = ws.buffer("pb.w", (n,), np.float64)
-        resid = ws.buffer("pb.resid", (n,), np.float64)
-        dang_buf = ws.buffer("pb.dangling", (dangling_idx.size,), np.float64)
-
-    if x0 is None:
-        x = full_initialization(view)
-    else:
-        x = np.asarray(x0, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValidationError(f"x0 must have shape ({n},)")
-        x = x.copy() if ws is None else x
-    if ws is not None:
-        np.copyto(rank0, x)
-        x = rank0
-
-    alpha = config.alpha
-    damping = config.damping
-    teleport = alpha / n_active
-    residual = np.inf
-
-    for it in range(1, config.max_iterations + 1):
-        t_prop = time.perf_counter()
-        if ws is None:
-            w = x * inv_out
-            y = kernel.iterate(w)
-        else:
-            np.multiply(x, inv_out, out=w_buf)
-            y = kernel.iterate(w_buf, out=rank1 if x is rank0 else rank0)
-        work.propagate_seconds += time.perf_counter() - t_prop
-        y *= damping
-        if config.dangling == "uniform" and dangling_idx.size:
-            if ws is None:
-                dangling_mass = float(x[dangling_idx].sum())
-            else:
-                np.take(x, dangling_idx, out=dang_buf)
-                dangling_mass = float(dang_buf.sum())
-            if dangling_mass:
-                y[active_mask] += damping * dangling_mass / n_active
-        y[active_mask] += teleport
-        y[~active_mask] = 0.0
-
-        if ws is None:
-            residual = float(np.abs(y - x).sum())
-        else:
-            np.subtract(y, x, out=resid)
-            np.abs(resid, out=resid)
-            residual = float(resid.sum())
-        x = y
-        work.iterations += 1
-        work.edge_traversals += kernel.src.size
-        work.active_edge_traversals += kernel.src.size
-        work.vertex_ops += n_active
-        if residual < config.tolerance:
-            return PagerankResult(
-                x if ws is None else x.copy(), it, True, residual, work
-            )
-
-    if config.strict:
-        raise ConvergenceError(
-            f"PB kernel did not converge in {config.max_iterations} "
-            f"iterations (residual {residual:.3e})"
-        )
-    return PagerankResult(
-        x if ws is None else x.copy(),
-        config.max_iterations, False, residual, work,
+    dangling_idx = np.flatnonzero(
+        view.active_vertices_mask & (view.out_degrees == 0)
+    )
+    return power_iteration(
+        view, config, x0, ws, view.inverse_out_degrees(), dangling_idx,
+        kernel.iterate, kernel.src.size, kernel.src.size,
     )

@@ -50,9 +50,7 @@ def pagerank_dense_reference(
     mask = _active_mask(graph, active)
     n_active = int(mask.sum())
     if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
+        return PagerankResult.inactive(n)
 
     # column-stochastic transition restricted to active vertices
     P = np.zeros((n, n), dtype=np.float64)
@@ -94,9 +92,7 @@ def pagerank_csr_reference(
     mask = _active_mask(graph, active)
     n_active = int(mask.sum())
     if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64), iterations=0, converged=True, residual=0.0
-        )
+        return PagerankResult.inactive(n)
 
     deg = graph.out_degrees()
     if x0 is not None:

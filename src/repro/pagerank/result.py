@@ -32,22 +32,16 @@ class WorkStats:
         Iterations × active (deduplicated) edges — the useful work.
     vertex_ops:
         Iterations × vertices updated.
-    binning_seconds:
-        Wall-clock spent in the backend's one-time edge-plan setup (the
-        PCPM destination-partition binning; ~0 for the flat numpy plan).
-        Unlike the counters above this is machine-*dependent* — it exists
-        so benchmarks and the traffic harness can attribute backend wins
-        without re-profiling.
     propagate_seconds:
-        Wall-clock spent inside the backend's per-iteration
-        gather→reduce propagation calls.
+        Wall-clock spent inside the per-iteration gather→reduce
+        propagation calls.  Unlike the counters above this is
+        machine-*dependent*.
     """
 
     iterations: int = 0
     edge_traversals: int = 0
     active_edge_traversals: int = 0
     vertex_ops: int = 0
-    binning_seconds: float = 0.0
     propagate_seconds: float = 0.0
 
     def merge(self, other: "WorkStats") -> None:
@@ -55,7 +49,6 @@ class WorkStats:
         self.edge_traversals += other.edge_traversals
         self.active_edge_traversals += other.active_edge_traversals
         self.vertex_ops += other.vertex_ops
-        self.binning_seconds += other.binning_seconds
         self.propagate_seconds += other.propagate_seconds
 
     @classmethod
@@ -80,6 +73,14 @@ class PagerankResult:
     converged: bool
     residual: float
     work: WorkStats = field(default_factory=WorkStats)
+
+    @classmethod
+    def inactive(cls, n_vertices: int) -> "PagerankResult":
+        """The trivially converged all-zero result of an empty window."""
+        return cls(
+            values=np.zeros(n_vertices, dtype=np.float64),
+            iterations=0, converged=True, residual=0.0,
+        )
 
     @property
     def total_mass(self) -> float:

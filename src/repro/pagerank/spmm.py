@@ -28,17 +28,18 @@ shrinks accordingly.  Bitwise-identical to the masked batch.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.backends import resolve_backend
 from repro.pagerank.compaction import compact_pull_union, resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
 from repro.pagerank.result import BatchPagerankResult, WorkStats
+from repro.pagerank.workspace import Workspace
+from repro.utils.segments import gather_reduce
 
 __all__ = ["pagerank_windows_spmm"]
 
@@ -47,7 +48,7 @@ def pagerank_windows_spmm(
     views: Sequence[WindowView],
     config: PagerankConfig = PagerankConfig(),
     x0: Optional[np.ndarray] = None,
-    workspace=None,
+    workspace: Optional[Workspace] = None,
     iteration_hint: Optional[int] = None,
 ) -> BatchPagerankResult:
     """Solve k windows of one multi-window graph simultaneously.
@@ -61,14 +62,15 @@ def pagerank_windows_spmm(
         Optional ``(n, k)`` initial matrix (column j initializes
         ``views[j]``); columns default to full initialization.
     workspace:
-        Optional :class:`~repro.pagerank.workspace.Workspace`.  The stacked
-        structure matrices (the ``(nnz, k)`` dedup mask — the batch's
-        dominant allocation — plus degrees/activity) and the per-iteration
-        gather/reduce buffers are recycled across same-width batches of a
-        chain.  Once columns start converging the live subset shrinks and
-        the kernel falls back to the allocating slow path for those
-        iterations; results are bitwise-identical either way, and returned
-        values are always freshly owned.
+        Optional :class:`~repro.pagerank.workspace.Workspace` (a fresh one
+        when absent).  The stacked structure matrices (the ``(nnz, k)``
+        dedup mask — the batch's dominant allocation — plus
+        degrees/activity) and the per-iteration gather/reduce buffers are
+        recycled across same-width batches of a chain.  Once columns start
+        converging the live subset shrinks and the kernel falls back to
+        the allocating slow path for those iterations; results are
+        bitwise-identical either way, and returned values are always
+        freshly owned.
 
     Returns
     -------
@@ -89,7 +91,7 @@ def pagerank_windows_spmm(
     k = len(views)
     in_csr = adjacency.in_csr
     nnz = in_csr.nnz
-    ws = workspace
+    ws = workspace if workspace is not None else Workspace()
     active_edge_counts = np.array(
         [v.n_active_edges for v in views], dtype=np.int64
     )
@@ -104,44 +106,25 @@ def pagerank_windows_spmm(
     # per-window structure data: per-edge masks and (n, k) degrees
     if path == "compacted":
         packed = compact_pull_union(views, workspace=ws)
-        it_col, it_rows = packed.col, packed.rows
-        dedup = packed.active
-        it_nnz = packed.n_edges
-    elif ws is None:
-        dedup = np.stack([v.in_dedup for v in views], axis=1)
-        it_col, it_rows, it_nnz = in_csr.col, in_csr.row_ids(), nnz
+        col, rows, dedup = packed.col, packed.rows, packed.active
     else:
         dedup = np.stack(
             [v.in_dedup for v in views], axis=1,
             out=ws.buffer("spmm.dedup", (nnz, k), np.bool_),
         )
-        it_col, it_rows, it_nnz = in_csr.col, in_csr.row_ids(), nnz
+        col, rows = in_csr.col, in_csr.row_ids()
+    it_nnz = col.size
 
-    work = WorkStats()
-    backend = resolve_backend(config, it_nnz, n, iteration_hint)
-    t_bin = time.perf_counter()
-    plan = backend.make_plan(
-        it_col, it_rows, n, workspace=ws, key="spmm.plan", capacity=nnz,
+    inv_out = ws.buffer("spmm.inv_out", (n, k), np.float64)
+    active = np.stack(
+        [v.active_vertices_mask for v in views], axis=1,
+        out=ws.buffer("spmm.active", (n, k), np.bool_),
     )
-    work.binning_seconds += time.perf_counter() - t_bin
-
-    if ws is None:
-        inv_out = np.empty((n, k), dtype=np.float64)
-        active = np.stack([v.active_vertices_mask for v in views], axis=1)
-        dangling = active & np.stack(
-            [v.out_degrees == 0 for v in views], axis=1
-        )
-    else:
-        inv_out = ws.buffer("spmm.inv_out", (n, k), np.float64)
-        active = np.stack(
-            [v.active_vertices_mask for v in views], axis=1,
-            out=ws.buffer("spmm.active", (n, k), np.bool_),
-        )
-        dangling = np.stack(
-            [v.out_degrees == 0 for v in views], axis=1,
-            out=ws.buffer("spmm.dangling", (n, k), np.bool_),
-        )
-        dangling &= active
+    dangling = np.stack(
+        [v.out_degrees == 0 for v in views], axis=1,
+        out=ws.buffer("spmm.dangling", (n, k), np.bool_),
+    )
+    dangling &= active
     # column-at-a-time fill: a workspace-built view's inverse_out_degrees
     # returns shared pooled scratch, so each result must be copied out
     # before the next view's call overwrites it
@@ -149,24 +132,18 @@ def pagerank_windows_spmm(
         inv_out[:, j] = v.inverse_out_degrees()
     n_active = np.array([v.n_active_vertices for v in views], dtype=np.int64)
 
+    X = ws.buffer("spmm.X", (n, k), np.float64)
     if x0 is None:
-        if ws is None:
-            X = np.stack([full_initialization(v) for v in views], axis=1)
-        else:
-            X = np.stack(
-                [full_initialization(v) for v in views], axis=1,
-                out=ws.buffer("spmm.X", (n, k), np.float64),
-            )
+        np.stack([full_initialization(v) for v in views], axis=1, out=X)
     else:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n, k):
-            raise ValidationError(f"x0 must have shape ({n}, {k})")
-        if ws is None:
-            X = x0.copy()
-        else:
-            X = ws.buffer("spmm.X", (n, k), np.float64)
-            np.copyto(X, x0)
+            raise ValidationError(
+                f"x0 must have shape ({n}, {k}), got {x0.shape}"
+            )
+        np.copyto(X, x0)
 
+    work = WorkStats()
     alpha = config.alpha
     damping = config.damping
     safe_active = np.maximum(n_active, 1)
@@ -184,15 +161,15 @@ def pagerank_windows_spmm(
         it += 1
         idx = np.flatnonzero(live)
         t_prop = time.perf_counter()
-        if ws is not None and idx.size == k:
+        if idx.size == k:
             # full-width fast path: every window still live, so the
             # workspace buffers apply directly with no column selection
             Xl = X
             W = np.multiply(
                 X, inv_out, out=ws.buffer("spmm.W", (n, k), np.float64)
             )
-            Y = plan.propagate_batch(
-                W, dedup,
+            Y = gather_reduce(
+                W, col, rows, n, mask=dedup,
                 out=ws.buffer("spmm.Y", (n, k), np.float64),
                 contrib=ws.buffer("spmm.C", (nnz, k), np.float64)[:it_nnz],
                 scratch=ws.buffer("spmm.colbuf", (nnz,), np.float64)[:it_nnz],
@@ -204,7 +181,7 @@ def pagerank_windows_spmm(
             W = Xl * inv_out[:, idx]
             # one structure pass for every live window (over the packed
             # union when compacted — column selection composes with it)
-            Y = plan.propagate_batch(W, dedup[:, idx])
+            Y = gather_reduce(W, col, rows, n, mask=dedup[:, idx])
             act = active[:, idx]
             dang = dangling[:, idx]
         work.propagate_seconds += time.perf_counter() - t_prop
@@ -237,7 +214,7 @@ def pagerank_windows_spmm(
         )
 
     return BatchPagerankResult(
-        values=X if ws is None else X.copy(),
+        values=X.copy(),
         window_indices=[v.window.index for v in views],
         iterations_per_window=iterations,
         converged=converged,

@@ -33,7 +33,6 @@ from repro.parallel.partitioners import (
 from repro.parallel.cost_model import (
     CostModel,
     calibrate_cost_model,
-    choose_backend,
     choose_edge_path,
     default_cost_model,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "contiguous_blocks",
     "CostModel",
     "calibrate_cost_model",
-    "choose_backend",
     "choose_edge_path",
     "default_cost_model",
     "simulate_parallel_for",

@@ -35,7 +35,6 @@ from repro.errors import ValidationError
 __all__ = [
     "CostModel",
     "calibrate_cost_model",
-    "choose_backend",
     "choose_edge_path",
     "default_cost_model",
     "DEFAULT_EXPECTED_ITERATIONS",
@@ -57,19 +56,6 @@ PACK_COST_RATIO = 2.0
 #: conservative without being timid.
 DEFAULT_EXPECTED_ITERATIONS = 20
 
-#: fraction of the per-edge cost a partition-centric (PCPM) traversal pays
-#: once every partition's rank slice is cache resident: the reduction
-#: streams a slice instead of scattering across the full vector.  Like
-#: ``SPMM_COLUMN_DISCOUNT`` this is a modelling constant of the simulated
-#: machine — the NumPy backend realises only part of it (smaller bincount
-#: outputs), the numba backend most of it (fused gather+reduce loop).
-PCPM_LOCALITY_DISCOUNT = 0.7
-
-#: one-time destination-partition binning pass, relative to the per-edge
-#: cost: a searchsorted over the (already destination-sorted) edge list
-#: plus one modulo pass streams the structure about 1.5 times.
-PCPM_BIN_COST_RATIO = 1.5
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -81,14 +67,11 @@ class CostModel:
     c_task: float = 7.5e-7
     c_region: float = 3.0e-6
     c_pack: float = PACK_COST_RATIO * 1.0e-8
-    c_edge_local: float = PCPM_LOCALITY_DISCOUNT * 1.0e-8
-    c_bin: float = PCPM_BIN_COST_RATIO * 1.0e-8
-    c_partition: float = 5.0e-6
 
     def __post_init__(self) -> None:
         for name in (
             "c_edge", "c_vertex", "c_active", "c_task", "c_region",
-            "c_pack", "c_edge_local", "c_bin", "c_partition",
+            "c_pack",
         ):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -170,70 +153,6 @@ class CostModel:
         )
         return "compacted" if compacted < masked else "masked"
 
-    # ------------------------------------------------------------------
-    # partition-centric backend (repro.pagerank.backends.pcpm)
-    # ------------------------------------------------------------------
-    def bin_cost(self, n_edges: int) -> float:
-        """The one-time destination-partition binning of ``n_edges``."""
-        return self.c_bin * n_edges
-
-    def pcpm_iteration_cost(
-        self,
-        n_edges: int,
-        n_vertices: int,
-        n_partitions: int,
-        fused: bool = True,
-    ) -> float:
-        """One partition-centric power iteration: locality-discounted edge
-        work, the usual vertex update, plus a fixed per-partition dispatch
-        overhead (slice bookkeeping, one reduce call per partition).
-
-        The locality discount models the *fused* per-partition reduce —
-        gather, mask, weight and accumulate in one cache-resident pass.
-        Slice-at-a-time NumPy cannot realize it (each partition still
-        gathers randomly across the full rank vector, measured on this
-        host), so ``fused=False`` charges the undiscounted per-edge cost.
-        """
-        c_edge = self.c_edge_local if fused else self.c_edge
-        return (
-            c_edge * n_edges
-            + self.c_vertex * n_vertices
-            + self.c_partition * max(n_partitions, 1)
-        )
-
-    def choose_backend(
-        self,
-        n_edges: int,
-        n_vertices: int,
-        expected_iterations: int,
-        cache_budget: int,
-        fused: bool = True,
-    ) -> str:
-        """``"numpy"`` or ``"pcpm"``: whichever total is cheaper.
-
-        ``n_edges`` is the number of edges actually traversed per
-        iteration — i.e. *after* the ``edge_path`` decision (``nnz`` for
-        masked, ``|E_w|`` for compacted), which is how the two knobs
-        compose.  Partitioning cannot help when the whole rank vector
-        already fits the cache budget, so that case short-circuits to
-        ``"numpy"``; otherwise PCPM wins iff the per-iteration locality
-        saving, over the expected iteration count, amortizes the one-time
-        binning pass and the per-partition dispatch overhead.  With
-        ``fused=False`` (no JIT available — the registry passes numba's
-        availability here) there is no locality saving to amortize the
-        binning, so the answer is always ``"numpy"``.
-        """
-        if n_edges <= 0 or n_vertices * 8 <= cache_budget:
-            return "numpy"
-        iters = max(int(expected_iterations), 1)
-        width = max(1, int(cache_budget) // 8)
-        n_partitions = -(-n_vertices // width)
-        flat = iters * self.spmv_iteration_cost(n_edges, n_vertices)
-        pcpm = self.bin_cost(n_edges) + iters * self.pcpm_iteration_cost(
-            n_edges, n_vertices, n_partitions, fused=fused
-        )
-        return "pcpm" if pcpm < flat else "numpy"
-
     def with_overrides(self, **kwargs) -> "CostModel":
         return replace(self, **kwargs)
 
@@ -266,30 +185,6 @@ def choose_edge_path(
     model = model if model is not None else _DEFAULT_MODEL
     return model.choose_edge_path(
         nnz, n_active_edges, n_vertices, expected_iterations
-    )
-
-
-def choose_backend(
-    n_edges: int,
-    n_vertices: int,
-    expected_iterations: int,
-    cache_budget: int,
-    model: CostModel = None,
-    fused: bool = True,
-) -> str:
-    """Stateless entry point for the kernels' ``backend="auto"`` policy.
-
-    Returns the cheaper *strategy* — ``"numpy"`` (flat full-width
-    reduction) or ``"pcpm"`` (destination-partitioned reduction); the
-    backend registry upgrades ``"pcpm"`` to the numba implementation when
-    numba is importable, and passes ``fused=numba_available()`` so the
-    locality discount is only priced in when the fused reduce exists.
-    Deterministic default model unless a calibrated one is supplied,
-    mirroring :func:`choose_edge_path`.
-    """
-    model = model if model is not None else _DEFAULT_MODEL
-    return model.choose_backend(
-        n_edges, n_vertices, expected_iterations, cache_budget, fused=fused
     )
 
 
@@ -362,7 +257,4 @@ def calibrate_cost_model(
         c_task=c_task,
         c_region=c_task * 4,
         c_pack=PACK_COST_RATIO * c_edge,
-        c_edge_local=PCPM_LOCALITY_DISCOUNT * c_edge,
-        c_bin=PCPM_BIN_COST_RATIO * c_edge,
-        c_partition=c_task * 5,
     )

@@ -4,8 +4,7 @@
 :class:`~repro.graph.temporal_csr.WindowView` as a non-iterative
 :class:`~repro.programs.base.VertexProgram` whose outputs ride in each
 window's generic ``value`` slot (``vertex_values=False``), and
-:class:`TemporalKernelDriver` — formerly a private loop in
-:mod:`repro.kernels.driver` — becomes a thin shell over
+:class:`TemporalKernelDriver` is a thin shell over
 :func:`~repro.programs.engine.solve_program_chain`.
 
 Routing the kernel driver through the engine fixes its per-window graph

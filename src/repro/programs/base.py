@@ -2,9 +2,9 @@
 
 The paper's machinery below the driver layer — multi-window partitioning
 (Section 4.1), partial-initialization chains (Section 4.2), pooled
-workspaces, executors, edge compaction and the propagation backends — is
-PageRank-agnostic in principle: any per-window analytic that initializes a
-per-vertex state, runs a (possibly iterative) propagation step over a
+workspaces, executors and edge compaction — is PageRank-agnostic in
+principle: any per-window analytic that initializes a per-vertex state,
+runs a (possibly iterative) propagation step over a
 :class:`~repro.graph.temporal_csr.WindowView` and tests convergence can
 ride the same stack.  :class:`VertexProgram` captures exactly that shape.
 

@@ -3,14 +3,13 @@
 Katz solves the affine fixed point  x = a · A^T x + b  — the same
 gather-over-in-edges shape as the PageRank pull without the degree
 normalization — so its temporal kernel reuses the SpMV propagation
-contract *directly*: :func:`repro.pagerank.compaction.resolve_edge_path`
-picks masked vs compacted edge traversal, the
-:mod:`repro.pagerank.backends` registry supplies the
-``make_plan``/``propagate`` pair (numpy / PCPM / numba), and the chain's
-pooled workspace feeds the plan exactly as :mod:`repro.pagerank.spmv`
-does.  The legacy :func:`repro.kernels.katz.katz_window` (plain
-``segment_sum`` over the masked structure) remains as the standalone
-kernel; this module is the engine-grade implementation.
+*directly*: :func:`repro.pagerank.compaction.resolve_edge_path` picks
+masked vs compacted edge traversal, and
+:func:`repro.utils.segments.gather_reduce` is the same gather→reduce
+step :mod:`repro.pagerank.spmv` runs.  The legacy
+:func:`repro.kernels.katz.katz_window` (plain ``segment_sum`` over the
+masked structure) remains as the standalone kernel; this module is the
+engine-grade implementation.
 
 Batched windows ride :func:`repro.kernels.katz_spmm.katz_windows_spmm`;
 the materialized surface runs the identical affine iteration on a simple
@@ -31,12 +30,11 @@ from repro.graph.csr import CSRGraph
 from repro.graph.temporal_csr import WindowView
 from repro.kernels.katz import KatzConfig, _effective_attenuation, katz_partial_init
 from repro.kernels.katz_spmm import katz_windows_spmm
-from repro.pagerank.backends import resolve_backend
 from repro.pagerank.compaction import resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import BatchPagerankResult, PagerankResult, WorkStats
 from repro.programs.base import VertexProgram
-from repro.utils.segments import segment_sum
+from repro.utils.segments import gather_reduce, segment_sum
 
 __all__ = ["KatzProgram", "katz_window_backend"]
 
@@ -54,24 +52,18 @@ def katz_window_backend(
     workspace=None,
     iteration_hint: Optional[int] = None,
 ) -> PagerankResult:
-    """Katz centrality of one window through the backend contract.
+    """Katz centrality of one window through the SpMV propagation step.
 
-    ``routing`` contributes only the propagation policy
-    (``edge_path`` / ``backend`` / ``cache_budget``); the Katz parameters
-    live in ``config``.  Output is L1-normalized over the active vertices,
-    like :func:`repro.kernels.katz.katz_window`.
+    ``routing`` contributes only the propagation policy (``edge_path``);
+    the Katz parameters live in ``config``.  Output is L1-normalized over
+    the active vertices, like :func:`repro.kernels.katz.katz_window`.
     """
-    adjacency = view.adjacency
-    n = adjacency.n_vertices
+    n = view.adjacency.n_vertices
     n_active = view.n_active_vertices
     if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64),
-            iterations=0, converged=True, residual=0.0,
-        )
+        return PagerankResult.inactive(n)
 
-    in_csr = adjacency.in_csr
-    dedup = view.in_dedup
+    in_csr = view.adjacency.in_csr
     nnz = in_csr.nnz
     active = view.active_vertices_mask
     a = _effective_attenuation(view, config)
@@ -82,22 +74,11 @@ def katz_window_backend(
     )
     if path == "compacted":
         packed = view.compact_pull(workspace=workspace)
-        it_col, it_rows = packed.col, packed.rows
-        it_nnz = packed.n_edges
+        col, rows, mask = packed.col, packed.rows, None
     else:
-        it_col, it_rows = in_csr.col, in_csr.row_ids()
-        it_nnz = nnz
-    it_mask = dedup if path != "compacted" else None
+        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
 
     work = WorkStats()
-    backend = resolve_backend(routing, it_nnz, n, iteration_hint)
-    t_bin = time.perf_counter()
-    plan = backend.make_plan(
-        it_col, it_rows, n,
-        workspace=workspace, key="katz.plan", capacity=nnz,
-    )
-    work.binning_seconds += time.perf_counter() - t_bin
-
     if x0 is None:
         x = np.where(active, b, 0.0)
     else:
@@ -111,7 +92,7 @@ def katz_window_backend(
         # raw affine iteration x <- a A^T x + b (the true fixed point);
         # the residual compares normalized iterates, scale-invariantly
         t_prop = time.perf_counter()
-        y = plan.propagate(x, mask=it_mask)
+        y = gather_reduce(x, col, rows, n, mask=mask)
         work.propagate_seconds += time.perf_counter() - t_prop
         y = y * a
         y[active] += b
@@ -120,7 +101,7 @@ def katz_window_backend(
         residual = float(np.abs(_normalized(y) - _normalized(x)).sum())
         x = y
         work.iterations += 1
-        work.edge_traversals += it_nnz
+        work.edge_traversals += col.size
         work.active_edge_traversals += view.n_active_edges
         work.vertex_ops += n_active
         if residual < config.tolerance:
@@ -151,10 +132,7 @@ def _katz_graph(
     mask = np.asarray(active, dtype=bool)
     n_active = int(mask.sum())
     if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n, dtype=np.float64),
-            iterations=0, converged=True, residual=0.0,
-        )
+        return PagerankResult.inactive(n)
 
     in_graph = graph.transpose()
     in_indptr, in_col = in_graph.indptr, in_graph.col
@@ -216,8 +194,8 @@ class KatzProgram(VertexProgram):
     """Temporal Katz centrality on the PageRank-grade stack."""
 
     config: KatzConfig = field(default_factory=KatzConfig)
-    #: propagation policy (edge path, backend, cache budget) — the Katz
-    #: parameters themselves live in ``config``
+    #: propagation policy (edge path) — the Katz parameters themselves
+    #: live in ``config``
     routing: PagerankConfig = field(default_factory=PagerankConfig)
 
     name = "katz"

@@ -8,7 +8,7 @@ Every hook delegates to the exact function the pre-engine drivers called —
 kernels, :func:`~repro.pagerank.incremental.incremental_pagerank` for the
 materialized path — so engine output is bitwise-identical to the historic
 driver by construction, not by tolerance.  The parity suite asserts this
-across kernels × edge paths × backends.
+across kernels × edge paths.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ def make_program(
 
     ``config`` is the run's :class:`~repro.pagerank.config.PagerankConfig`
     — PageRank's solver parameters, and every gather-reduce program's
-    propagation policy (edge path / backend / cache budget).
+    propagation policy (edge path).
     ``katz_config`` optionally overrides the Katz parameters; ``weighted``
     applies only to PageRank.
     """

@@ -135,11 +135,6 @@ class DriverContext:
         (``"auto"``/``"masked"``/``"compacted"``).  ``None`` defers to the
         config — drivers apply the override by replacing their config's
         field, so kernels never consult the context directly.
-    backend:
-        Optional runtime override for
-        :attr:`repro.pagerank.config.PagerankConfig.backend`
-        (``"auto"``/``"numpy"``/``"pcpm"``/``"numba"``), applied the same
-        way as ``edge_path``.
     program:
         Optional vertex-program selection (``"pagerank"``/``"katz"``/
         ``"kcore"``; see :mod:`repro.programs`).  ``None`` defers to the
@@ -153,7 +148,6 @@ class DriverContext:
     progress: Optional[ProgressFn] = None
     trace: Optional[TraceFn] = None
     edge_path: Optional[str] = None
-    backend: Optional[str] = None
     program: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -170,10 +164,6 @@ class DriverContext:
             from repro.pagerank.compaction import validate_edge_path
 
             validate_edge_path(self.edge_path)
-        if self.backend is not None:
-            from repro.pagerank.backends import validate_backend_name
-
-            validate_backend_name(self.backend)
         if self.program is not None:
             from repro.programs.registry import validate_program_name
 

@@ -95,9 +95,7 @@ def delta_incremental_pagerank(
         mask = np.asarray(active, dtype=bool)
     n_active = int(mask.sum())
     if n_active == 0:
-        return PagerankResult(
-            values=np.zeros(n), iterations=0, converged=True, residual=0.0
-        )
+        return PagerankResult.inactive(n)
 
     prev = np.asarray(prev_values, dtype=np.float64)
     if prev.shape != (n,):

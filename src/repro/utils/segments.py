@@ -2,8 +2,8 @@
 
 A *segment* is the half-open slice ``values[indptr[i]:indptr[i+1]]``.  These
 reductions are the core primitive behind every SpMV/SpMM kernel in the
-library: one PageRank iteration is exactly ``segment_sum`` of per-edge
-contributions grouped by destination vertex.
+library: one PageRank iteration is exactly a segment sum of per-edge
+contributions grouped by destination vertex (:func:`gather_reduce`).
 
 ``np.add.reduceat`` is the fastest pure-NumPy way to do this, but it has a
 well-known wart: for an empty segment it *returns the element at the start
@@ -22,6 +22,7 @@ from repro.errors import ValidationError
 __all__ = [
     "segment_sum",
     "segment_sum_ordered",
+    "gather_reduce",
     "segment_count",
     "segment_max",
     "segment_min",
@@ -160,6 +161,46 @@ def segment_sum_ordered(
             col = scratch
         out[:, j] = np.bincount(row_ids, weights=col, minlength=n_rows)
     return out
+
+
+def gather_reduce(
+    w: np.ndarray,
+    col: np.ndarray,
+    rows: np.ndarray,
+    n_rows: int,
+    mask: np.ndarray = None,
+    weights: np.ndarray = None,
+    out: np.ndarray = None,
+    contrib: np.ndarray = None,
+    scratch: np.ndarray = None,
+) -> np.ndarray:
+    """One pull step: ``y[rows[e]] += w[col[e]] * mask[e] * weights[e]``.
+
+    The per-iteration inner step of every pull kernel — gather the
+    per-source shares along the edge list, zero inactive stored events
+    (``mask``, the masked edge path), scale by per-edge multiplicities
+    (``weights``, the weighted kernel), then reduce per destination with
+    :func:`segment_sum_ordered`, whose strictly sequential accumulation
+    keeps the masked and compacted edge paths bitwise-identical.
+
+    ``w`` is ``(n,)`` for one rank vector or ``(n, k)`` for k stacked
+    ones (SpMM), in which case ``mask`` is the ``(nnz, k)`` per-column
+    activity.  ``out`` receives the result (fully overwritten),
+    ``contrib`` is an optional ``(nnz,)``/``(nnz, k)`` float64 gather
+    buffer and ``scratch`` the 2-D reduce's column staging buffer (see
+    :func:`segment_sum_ordered`); all three are allocated per call when
+    absent.
+    """
+    if contrib is None:
+        c = np.take(w, col, axis=0)
+    else:
+        c = contrib
+        np.take(w, col, axis=0, out=c)
+    if mask is not None:
+        c *= mask
+    if weights is not None:
+        c *= weights
+    return segment_sum_ordered(c, rows, n_rows, out=out, scratch=scratch)
 
 
 def segment_count(

@@ -1,440 +1,79 @@
-"""Kernel-backend registry: plan structure, bitwise parity of the
-numpy/pcpm/numba backends across all four kernels, the ``backend="auto"``
-cost-model decision, numba-absent degradation, and the driver/CLI
-threading of ``backend``."""
+"""The kernels' one back end, the flat gather→reduce pull of
+:func:`repro.utils.segments.gather_reduce`, across buffer modes: on every
+structural regime, each kernel solved with owned buffers or with a pooled
+:class:`Workspace` — cold, then warm — gives the same bits as a fresh
+owned-buffer solve, and it composes with both edge paths."""
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
-from repro.events import WindowSpec
-from repro.models import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
-    PagerankConfig,
     Workspace,
     pagerank_window,
     pagerank_window_pb,
     pagerank_window_weighted,
     pagerank_windows_spmm,
 )
-from repro.pagerank.backends import (
-    BACKEND_NAMES,
-    NumbaBackend,
-    NumpyBackend,
-    PcpmBackend,
-    backend_availability,
-    create_backend,
-    numba_available,
-    resolve_backend,
-    validate_backend_name,
-)
-from repro.pagerank.backends import numba_backend as numba_mod
-from repro.pagerank.backends import registry as registry_mod
-from repro.pagerank.backends.pcpm import DEFAULT_CACHE_BUDGET, PcpmPlan
-from repro.parallel.cost_model import CostModel, choose_backend
-from repro.runtime.context import DriverContext
-from tests.conftest import random_events
-from tests.test_edge_compaction import CFG, _views_regimes, make_view
-
-#: a tiny budget (8 vertices per partition) so even the small test graphs
-#: span several partitions
-TINY_BUDGET = 64
+from tests.test_edge_compaction import CFG, _views_regimes
 
 
-@pytest.fixture
-def no_numba(monkeypatch):
-    """Simulate an environment without numba and reset the JIT cache."""
-    monkeypatch.setitem(sys.modules, "numba", None)
-    monkeypatch.setitem(numba_mod._JIT, "checked", False)
-    monkeypatch.setitem(numba_mod._JIT, "pull_1d", None)
-    yield
-    monkeypatch.setitem(numba_mod._JIT, "checked", False)
-    monkeypatch.setitem(numba_mod._JIT, "pull_1d", None)
+def _assert_same(result, base):
+    assert np.array_equal(result.values, base.values)
+    assert result.iterations == base.iterations
+    assert result.converged == base.converged
+    assert result.residual == base.residual
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-class TestRegistry:
-    def test_names(self):
-        assert BACKEND_NAMES == ("auto", "numpy", "pcpm", "numba")
-        for name in BACKEND_NAMES:
-            assert validate_backend_name(name) == name
-        with pytest.raises(ValidationError):
-            validate_backend_name("gpu")
-
-    def test_create(self):
-        assert isinstance(create_backend("numpy"), NumpyBackend)
-        assert isinstance(create_backend("pcpm"), PcpmBackend)
-        assert isinstance(create_backend("numba"), NumbaBackend)
-        with pytest.raises(ValidationError):
-            create_backend("auto")
-
-    def test_cache_budget_shapes_partition_width(self):
-        assert create_backend("pcpm", 64).width == 8
-        assert create_backend("pcpm", 1).width == 1
-        with pytest.raises(ValidationError):
-            create_backend("pcpm", 0)
-
-    def test_availability_covers_concrete_backends(self):
-        avail = backend_availability()
-        assert set(avail) == {"numpy", "pcpm", "numba"}
-        assert avail["numpy"][0] and avail["pcpm"][0]
-        assert avail["numba"][0] == numba_available()
-        assert all(note for _, note in avail.values())
-
-    def test_config_validates(self):
-        assert PagerankConfig(backend="pcpm").backend == "pcpm"
-        with pytest.raises(ValidationError):
-            PagerankConfig(backend="gpu")
-        with pytest.raises(ValidationError):
-            PagerankConfig(cache_budget=0)
-
-    def test_context_validates(self):
-        assert DriverContext(backend="numba").backend == "numba"
-        with pytest.raises(ValidationError):
-            DriverContext(backend="gpu")
-
-
-# ---------------------------------------------------------------------------
-# plan structure
-# ---------------------------------------------------------------------------
-class TestPlanStructure:
-    def _plan(self, rows, n_rows, width, **kw):
-        rows = np.asarray(rows, dtype=np.int64)
-        col = np.zeros(rows.size, dtype=np.int64)
-        return PcpmPlan(col, rows, n_rows, width, **kw)
-
-    def test_partition_spans_and_local_ids(self):
-        # destinations 0..9 over width-4 partitions: {0-3}, {4-7}, {8-9}
-        rows = [0, 0, 1, 3, 4, 4, 5, 8, 9, 9]
-        plan = self._plan(rows, 10, 4)
-        assert plan.n_parts == 3
-        assert plan.pstart.tolist() == [0, 4, 7, 10]
-        assert plan.dst_local.tolist() == [0, 0, 1, 3, 0, 0, 1, 0, 1, 1]
-
-    def test_unsorted_rows_rejected(self):
-        with pytest.raises(ValidationError):
-            self._plan([3, 1, 2], 5, 4)
-
-    def test_empty_edge_list(self):
-        plan = self._plan([], 6, 4)
-        assert plan.pstart.tolist() == [0, 0, 0]
-        out = plan.propagate(np.ones(6, dtype=np.float64))
-        assert np.array_equal(out, np.zeros(6, dtype=np.float64))
-
-    def test_workspace_pools_dst_local(self):
-        ws = Workspace()
-        rows = np.array([0, 2, 5, 7], dtype=np.int64)
-        a = self._plan(rows, 8, 4, workspace=ws, key="p", capacity=16)
-        b = self._plan(rows, 8, 4, workspace=ws, key="p", capacity=16)
-        assert np.shares_memory(a.dst_local, b.dst_local)
-        assert np.array_equal(a.dst_local, rows % 4)
-
-    def test_propagate_matches_flat_reference(self):
-        rng = np.random.default_rng(7)
-        n, m = 30, 200
-        rows = np.sort(rng.integers(0, n, m)).astype(np.int64)
-        col = rng.integers(0, n, m).astype(np.int64)
-        w = rng.random(n)
-        mask = rng.random(m) < 0.6
-        flat = NumpyBackend().make_plan(col, rows, n)
-        part = PcpmBackend(TINY_BUDGET).make_plan(col, rows, n)
-        assert np.array_equal(
-            part.propagate(w, mask=mask), flat.propagate(w, mask=mask)
-        )
-        W = rng.random((n, 3))
-        active = rng.random((m, 3)) < 0.6
-        assert np.array_equal(
-            part.propagate_batch(W, active),
-            flat.propagate_batch(W, active),
-        )
-
-
-# ---------------------------------------------------------------------------
-# bitwise parity: numpy vs pcpm vs numba vs auto, all four kernels
-# ---------------------------------------------------------------------------
 @pytest.mark.parametrize("use_workspace", [False, True], ids=["owned", "ws"])
 @pytest.mark.parametrize(
     "name,view", _views_regimes(), ids=[n for n, _ in _views_regimes()]
 )
 class TestBackendParity:
-    OTHERS = ("pcpm", "numba", "auto")
+    """Each solve runs twice under the given buffer mode (for ``ws`` the
+    second solve reuses the now-warm workspace); both must match the
+    fresh owned-buffer solve bitwise."""
 
-    def _cfg(self, backend):
-        return replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
-
-    def _solve(self, kernel, view, backend, use_workspace, **kw):
+    def _twice(self, kernel, view, use_workspace, cfg=CFG):
         ws = Workspace() if use_workspace else None
-        return kernel(view, self._cfg(backend), workspace=ws, **kw)
+        return [kernel(view, cfg, workspace=ws) for _ in range(2)]
+
+    def _check_single(self, kernel, view, use_workspace):
+        base = kernel(view, CFG)
+        for r in self._twice(kernel, view, use_workspace):
+            _assert_same(r, base)
 
     def test_spmv(self, name, view, use_workspace):
-        base = self._solve(pagerank_window, view, "numpy", use_workspace)
-        for backend in self.OTHERS:
-            r = self._solve(pagerank_window, view, backend, use_workspace)
-            assert np.array_equal(r.values, base.values), backend
-            assert r.iterations == base.iterations
+        self._check_single(pagerank_window, view, use_workspace)
 
     def test_weighted(self, name, view, use_workspace):
-        base = self._solve(
-            pagerank_window_weighted, view, "numpy", use_workspace
-        )
-        for backend in self.OTHERS:
-            r = self._solve(
-                pagerank_window_weighted, view, backend, use_workspace
-            )
-            assert np.array_equal(r.values, base.values), backend
-            assert r.iterations == base.iterations
+        self._check_single(pagerank_window_weighted, view, use_workspace)
+
+    def test_pb(self, name, view, use_workspace):
+        self._check_single(pagerank_window_pb, view, use_workspace)
 
     def test_spmm(self, name, view, use_workspace):
         views = [view] * 3
-        ws0 = Workspace() if use_workspace else None
-        base = pagerank_windows_spmm(views, self._cfg("numpy"), workspace=ws0)
-        for backend in self.OTHERS:
-            ws = Workspace() if use_workspace else None
-            r = pagerank_windows_spmm(
-                views, self._cfg(backend), workspace=ws
-            )
-            assert np.array_equal(r.values, base.values), backend
+        base = pagerank_windows_spmm(views, CFG)
+        for r in self._twice(
+            lambda v, cfg, workspace: pagerank_windows_spmm(
+                views, cfg, workspace=workspace
+            ),
+            view,
+            use_workspace,
+        ):
+            assert np.array_equal(r.values, base.values)
             assert np.array_equal(
                 r.iterations_per_window, base.iterations_per_window
             )
-
-    def test_pb(self, name, view, use_workspace):
-        base = self._solve(pagerank_window_pb, view, "numpy", use_workspace)
-        for backend in self.OTHERS:
-            r = self._solve(pagerank_window_pb, view, backend, use_workspace)
-            assert np.array_equal(r.values, base.values), backend
-            assert r.iterations == base.iterations
+            assert np.array_equal(r.converged, base.converged)
 
     def test_composes_with_edge_path(self, name, view, use_workspace):
-        base = self._solve(pagerank_window, view, "numpy", use_workspace)
+        base = pagerank_window(view, CFG)
         for path in ("masked", "compacted"):
-            cfg = replace(self._cfg("pcpm"), edge_path=path)
-            ws = Workspace() if use_workspace else None
-            r = pagerank_window(view, cfg, workspace=ws)
-            assert np.array_equal(r.values, base.values), path
-
-
-def test_backends_share_one_workspace():
-    """Different backends keyed into the same workspace must not corrupt
-    one another's pooled plans."""
-    view = make_view(seed=47)
-    ws = Workspace()
-    base = pagerank_window(view, replace(CFG, backend="numpy"), workspace=ws)
-    for backend in ("pcpm", "numba", "numpy"):
-        cfg = replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
-        r = pagerank_window(view, cfg, workspace=ws)
-        assert np.array_equal(r.values, base.values), backend
-
-
-# ---------------------------------------------------------------------------
-# adaptive selection
-# ---------------------------------------------------------------------------
-class TestBackendSelection:
-    def test_rank_vector_fits_cache_stays_flat(self):
-        # 1k vertices = 8 KB of rank: partitioning buys nothing
-        assert choose_backend(1_000_000, 1_000, 50, DEFAULT_CACHE_BUDGET) \
-            == "numpy"
-
-    def test_empty_structure_stays_flat(self):
-        assert choose_backend(0, 1_000_000, 50, DEFAULT_CACHE_BUDGET) \
-            == "numpy"
-
-    def test_large_dense_graph_partitions(self):
-        assert choose_backend(
-            20_000_000, 1_000_000, 50, DEFAULT_CACHE_BUDGET
-        ) == "pcpm"
-
-    def test_sparse_large_graph_stays_flat(self):
-        # huge rank vector but almost no edges: per-partition overhead
-        # dominates
-        assert choose_backend(
-            50_000, 1_000_000, 50, DEFAULT_CACHE_BUDGET
-        ) == "numpy"
-
-    def test_crossover_moves_with_bin_cost(self):
-        args = (20_000_000, 1_000_000, 2, DEFAULT_CACHE_BUDGET)
-        assert CostModel(c_bin=0.0).choose_backend(*args) == "pcpm"
-        assert CostModel(c_bin=1.0).choose_backend(*args) == "numpy"
-
-    def test_unfused_never_partitions(self):
-        # without the JIT there is no locality discount, so the binning
-        # pass can never amortize — even on the most PCPM-friendly shape
-        assert choose_backend(
-            20_000_000, 1_000_000, 1_000, DEFAULT_CACHE_BUDGET,
-            fused=False,
-        ) == "numpy"
-
-    def test_resolve_pinned_names_bypass_model(self):
-        for name, cls in (
-            ("numpy", NumpyBackend), ("pcpm", PcpmBackend),
-            ("numba", NumbaBackend),
-        ):
-            cfg = PagerankConfig(backend=name)
-            assert isinstance(resolve_backend(cfg, 10, 10), cls)
-
-    def test_resolve_auto_uses_cost_model(self):
-        cfg = PagerankConfig(backend="auto")
-        small = resolve_backend(cfg, 1_000_000, 1_000)
-        assert small.name == "numpy"
-
-    def test_resolve_auto_tracks_jit_availability(self, monkeypatch):
-        # the PCPM-friendly shape: partitioned *iff* the fused reduce
-        # exists, and then always as the numba implementation
-        cfg = PagerankConfig(backend="auto")
-        monkeypatch.setattr(
-            registry_mod, "numba_available", lambda: True
-        )
-        assert resolve_backend(cfg, 20_000_000, 1_000_000, 50).name \
-            == "numba"
-        monkeypatch.setattr(
-            registry_mod, "numba_available", lambda: False
-        )
-        assert resolve_backend(cfg, 20_000_000, 1_000_000, 50).name \
-            == "numpy"
-
-    def test_resolve_auto_honours_cache_budget(self, monkeypatch):
-        # same structure, huge per-partition budget: no win left even
-        # with the JIT present
-        monkeypatch.setattr(
-            registry_mod, "numba_available", lambda: True
-        )
-        cfg = PagerankConfig(backend="auto", cache_budget=1 << 40)
-        assert resolve_backend(cfg, 20_000_000, 1_000_000, 50).name \
-            == "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numba degradation
-# ---------------------------------------------------------------------------
-class TestNumbaDegradation:
-    def test_availability_reports_false(self, no_numba):
-        assert numba_available() is False
-        assert backend_availability()["numba"][0] is False
-
-    def test_plan_falls_back_bitwise(self, no_numba):
-        rng = np.random.default_rng(11)
-        n, m = 20, 120
-        rows = np.sort(rng.integers(0, n, m)).astype(np.int64)
-        col = rng.integers(0, n, m).astype(np.int64)
-        w = rng.random(n)
-        jit = NumbaBackend(TINY_BUDGET).make_plan(col, rows, n)
-        ref = PcpmBackend(TINY_BUDGET).make_plan(col, rows, n)
-        assert np.array_equal(jit.propagate(w), ref.propagate(w))
-
-    def test_kernel_with_numba_backend_still_exact(self, no_numba):
-        view = make_view(seed=53)
-        base = pagerank_window(view, replace(CFG, backend="numpy"))
-        r = pagerank_window(
-            view, replace(CFG, backend="numba", cache_budget=TINY_BUDGET)
-        )
-        assert np.array_equal(r.values, base.values)
-
-
-# ---------------------------------------------------------------------------
-# work attribution
-# ---------------------------------------------------------------------------
-class TestWorkStats:
-    def test_kernels_record_phase_seconds(self):
-        view = make_view(seed=59)
-        for backend in ("numpy", "pcpm"):
-            cfg = replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
-            r = pagerank_window(view, cfg)
-            assert r.work.binning_seconds >= 0.0
-            assert r.work.propagate_seconds > 0.0
-
-    def test_merge_accumulates(self):
-        from repro.pagerank import WorkStats
-
-        a = WorkStats(binning_seconds=0.25, propagate_seconds=1.0)
-        b = WorkStats(binning_seconds=0.5, propagate_seconds=0.5)
-        a.merge(b)
-        assert a.binning_seconds == 0.75
-        assert a.propagate_seconds == 1.5
-
-
-# ---------------------------------------------------------------------------
-# driver / context / CLI threading
-# ---------------------------------------------------------------------------
-class TestDriverThreading:
-    def _run(self, backend, kernel="spmv", context=None):
-        events = random_events(seed=61, n_events=300)
-        spec = WindowSpec.covering(events, delta=3_000, sw=1_500)
-        cfg = replace(CFG, backend=backend, cache_budget=TINY_BUDGET)
-        driver = PostmortemDriver(
-            events, spec, cfg,
-            PostmortemOptions(n_multiwindows=2, kernel=kernel),
-            context=context,
-        )
-        return driver.run()
-
-    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
-    def test_driver_backends_agree(self, kernel):
-        runs = {
-            b: self._run(b, kernel)
-            for b in ("numpy", "pcpm", "numba", "auto")
-        }
-        base = runs["numpy"]
-        for b in ("pcpm", "numba", "auto"):
-            for w_base, w in zip(base.windows, runs[b].windows):
-                assert np.array_equal(w_base.values, w.values), b
-                assert w_base.iterations == w.iterations
-
-    def test_metadata_records_backend(self):
-        assert self._run("pcpm").metadata["backend"] == "pcpm"
-        assert self._run("auto").metadata["backend"] == "auto"
-
-    def test_context_override_wins(self):
-        ctx = DriverContext(backend="pcpm")
-        via_ctx = self._run("numpy", context=ctx)
-        assert via_ctx.metadata["backend"] == "pcpm"
-
-
-def test_cli_run_accepts_backend(tmp_path):
-    import io
-
-    from repro.cli import main
-    from repro.events import save_events_npz
-
-    events = random_events(seed=67, n_events=200)
-    path = tmp_path / "ev.npz"
-    save_events_npz(events, str(path))
-    outs = {}
-    for backend in ("numpy", "pcpm"):
-        buf = io.StringIO()
-        rc = main(
-            [
-                "run", str(path), "--delta-days", "0.03", "--sw", "1000",
-                "--kernel", "spmv", "--backend", backend,
-                "--cache-budget", str(TINY_BUDGET),
-            ],
-            out=buf,
-        )
-        assert rc == 0
-        outs[backend] = buf.getvalue()
-    table = {
-        k: "\n".join(
-            line for line in v.splitlines() if not line.startswith("total")
-        )
-        for k, v in outs.items()
-    }
-    assert table["numpy"] == table["pcpm"]
-
-
-def test_cli_backends_subcommand():
-    import io
-
-    from repro.cli import main
-
-    buf = io.StringIO()
-    assert main(["backends"], out=buf) == 0
-    text = buf.getvalue()
-    for needle in ("numpy", "pcpm", "numba", "c_edge_local", "c_bin",
-                   "cache budget"):
-        assert needle in text, needle
+            cfg = replace(CFG, edge_path=path)
+            for r in self._twice(pagerank_window, view, use_workspace, cfg):
+                _assert_same(r, base)

@@ -14,7 +14,7 @@ from repro.pagerank.propagation_blocking import (
 )
 from repro.streaming import StreamingDriver
 from repro.streaming.delta import delta_incremental_pagerank
-from repro.streaming.incremental import incremental_pagerank
+from repro.pagerank.incremental import incremental_pagerank
 from tests.conftest import random_events
 
 CFG = PagerankConfig(tolerance=1e-12, max_iterations=400)

@@ -223,7 +223,7 @@ class TestStatefulStreaming:
         from repro.models.kernel_models import streaming_kernel_run_stateful
         from repro.pagerank import PagerankConfig
         from repro.streaming import StreamingDriver
-        from repro.streaming.incremental import incremental_pagerank
+        from repro.pagerank.incremental import incremental_pagerank
 
         events, spec = instance
         cfg = PagerankConfig(tolerance=1e-11, max_iterations=300)

@@ -638,13 +638,13 @@ class TestRepositoryIsClean:
                 "silent-except", "mutable-default"} <= applicable
 
     def test_scopes_cover_the_kernel_backends(self):
-        # the backend package holds the hottest allocation and loop
-        # sites in the tree (PCPM binning + per-partition reduce), so
-        # the dtype and CSR-loop rules must reach it, and the bench
-        # that times it
+        # the gather→reduce helper every pull kernel calls and the PB
+        # kernel's binned accumulation are the hottest allocation and
+        # loop sites in the tree, so the dtype and CSR-loop rules must
+        # reach both
         for path in (
-            "src/repro/pagerank/backends/pcpm.py",
-            "benchmarks/bench_backends.py",
+            "src/repro/utils/segments.py",
+            "src/repro/pagerank/propagation_blocking.py",
         ):
             applicable = {
                 r.name for r in ALL_RULES if r.applies_to(path)

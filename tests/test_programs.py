@@ -3,9 +3,9 @@
 Covers the registry, the three first-class programs, the callable
 adapter, and the tentpole acceptance criterion: PageRank routed through
 the engine is *bitwise-identical* to the historic postmortem loop across
-kernels (spmv / spmm) × edge paths (masked / compacted) × backends
-(numpy / pcpm) × weighted — asserted against a hand-rolled reference
-chain that replays the pre-engine driver's solve sequence.
+kernels (spmv / spmm) × edge paths (masked / compacted) × weighted —
+asserted against a hand-rolled reference chain that replays the
+pre-engine driver's solve sequence.
 """
 
 import numpy as np
@@ -184,21 +184,16 @@ class TestRegistry:
 class TestEngineBitwiseGrid:
     """The tentpole acceptance criterion: PageRank through the engine is
     bitwise-identical to the historic driver loop, across kernels × edge
-    paths × backends × weighted."""
+    paths × weighted."""
 
     @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
     @pytest.mark.parametrize("edge_path", ["masked", "compacted"])
-    @pytest.mark.parametrize("backend", ["numpy", "pcpm"])
-    def test_engine_matches_reference(
-        self, setup, kernel, edge_path, backend
-    ):
+    def test_engine_matches_reference(self, setup, kernel, edge_path):
         events, spec = setup
         cfg = PagerankConfig(
             tolerance=1e-10,
             max_iterations=300,
             edge_path=edge_path,
-            backend=backend,
-            cache_budget=512,
         )
         run = PostmortemDriver(
             events,

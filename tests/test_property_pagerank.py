@@ -107,28 +107,29 @@ def test_spmm_columns_equal_spmv(view, k):
         assert np.allclose(batch.values[:, j], single.values, atol=1e-8)
 
 
-@given(window_instances(), st.booleans())
+@given(window_instances(), st.sampled_from(["masked", "compacted"]))
 @settings(max_examples=100, deadline=None)
-def test_backend_never_changes_values(view, use_workspace):
-    """``backend`` is a pure execution-strategy knob: numpy, pcpm, numba
-    (degraded or not) and auto produce bitwise-identical values, with
-    owned and workspace-pooled buffers alike."""
-    from repro.pagerank import Workspace
+def test_workspace_never_changes_values(view, edge_path):
+    """A caller's pooled workspace is pure buffer reuse: the SpMV,
+    weighted and PB kernels produce bitwise-identical results with it and
+    without it (their own ephemeral workspace), even when the pool was
+    dirtied by a different window first."""
+    from repro.pagerank import (
+        Workspace,
+        pagerank_window_pb,
+        pagerank_window_weighted,
+    )
 
-    def solve(backend):
-        ws = Workspace() if use_workspace else None
-        return pagerank_window(
-            view,
-            replace(CFG, backend=backend, cache_budget=64),
-            workspace=ws,
-        )
-
-    baseline = solve("numpy")
-    for backend in ("pcpm", "numba", "auto"):
-        r = solve(backend)
-        assert np.array_equal(r.values, baseline.values)
-        assert r.iterations == baseline.iterations
-        assert r.converged == baseline.converged
+    cfg = replace(CFG, edge_path=edge_path)
+    for kernel in (pagerank_window, pagerank_window_weighted,
+                   pagerank_window_pb):
+        owned = kernel(view, cfg)
+        ws = Workspace()
+        kernel(view, replace(cfg, max_iterations=1), workspace=ws)
+        pooled = kernel(view, cfg, workspace=ws)
+        assert np.array_equal(pooled.values, owned.values)
+        assert pooled.iterations == owned.iterations
+        assert pooled.converged == owned.converged
 
 
 @given(window_instances())

@@ -188,7 +188,7 @@ class TestWindowResultFold:
     """KernelRunResult/KernelWindowResult are folded into the shared pair."""
 
     def test_kernel_aliases_are_the_shared_types(self):
-        from repro.kernels.driver import KernelWindowResult
+        from repro.programs.adapter import KernelWindowResult
 
         assert KernelWindowResult is WindowResult
 

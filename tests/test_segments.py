@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.utils.segments import (
+    gather_reduce,
     indptr_to_row_ids,
     lengths_to_indptr,
     row_lengths,
@@ -70,6 +71,70 @@ class TestSegmentSum:
             segment_sum(vals, np.array([0, 2, 1, 3]))  # decreasing
         with pytest.raises(ValidationError):
             segment_sum(vals, np.array([], dtype=np.int64))
+
+
+class TestGatherReduce:
+    """The pull kernels' gather→mask→weight→ordered-reduce step against a
+    literal per-edge loop (sequential accumulation, so bitwise)."""
+
+    @staticmethod
+    def _literal(w, col, rows, n, mask=None, weights=None):
+        y = np.zeros((n,) + w.shape[1:], dtype=np.float64)
+        for e in range(col.size):
+            v = w[col[e]].copy()
+            if mask is not None:
+                v = v * mask[e]
+            if weights is not None:
+                v = v * weights[e]
+            y[rows[e]] += v
+        return y
+
+    @staticmethod
+    def _edges(seed, n=30, m=200):
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.integers(0, n, m)).astype(np.int64)
+        col = rng.integers(0, n, m).astype(np.int64)
+        return rng, n, m, col, rows
+
+    def test_matches_literal_loop(self):
+        rng, n, m, col, rows = self._edges(7)
+        w = rng.random(n)
+        mask = rng.random(m) < 0.6
+        weights = rng.integers(1, 5, m).astype(np.float64)
+        for kw in ({}, {"mask": mask}, {"weights": weights},
+                   {"mask": mask, "weights": weights}):
+            expected = self._literal(w, col, rows, n, **kw)
+            assert np.array_equal(
+                gather_reduce(w, col, rows, n, **kw), expected
+            ), kw
+            out = np.full(n, np.nan)
+            contrib = np.full(m, np.nan)
+            got = gather_reduce(
+                w, col, rows, n, out=out, contrib=contrib, **kw
+            )
+            assert got is out
+            assert np.array_equal(out, expected), kw
+
+    def test_batched_matches_literal_loop(self):
+        rng, n, m, col, rows = self._edges(11)
+        W = rng.random((n, 3))
+        active = rng.random((m, 3)) < 0.6
+        expected = self._literal(W, col, rows, n, mask=active)
+        assert np.array_equal(
+            gather_reduce(W, col, rows, n, mask=active), expected
+        )
+        out = np.full((n, 3), np.nan)
+        got = gather_reduce(
+            W, col, rows, n, mask=active, out=out,
+            contrib=np.full((m, 3), np.nan), scratch=np.full(m, np.nan),
+        )
+        assert got is out
+        assert np.array_equal(out, expected)
+
+    def test_empty_edge_list(self):
+        empty = np.zeros(0, dtype=np.int64)
+        out = gather_reduce(np.ones(6), empty, empty, 6)
+        assert np.array_equal(out, np.zeros(6, dtype=np.float64))
 
 
 class TestSegmentCount:

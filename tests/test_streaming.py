@@ -9,7 +9,7 @@ from repro.graph import build_csr_from_edges
 from repro.pagerank import PagerankConfig
 from repro.pagerank.reference import pagerank_csr_reference
 from repro.streaming import StreamingDriver, StreamingGraph
-from repro.streaming.incremental import csr_pull_arrays, incremental_pagerank
+from repro.pagerank.incremental import csr_pull_arrays, incremental_pagerank
 from tests.conftest import random_events
 
 
