@@ -21,9 +21,9 @@ from repro.kernels import (
     TemporalKernelDriver,
     connected_components,
     degree_centrality,
-    katz_window,
     max_core,
 )
+from repro.programs.katz import KatzProgram
 from repro.reporting import format_table
 
 
@@ -39,7 +39,7 @@ def main() -> None:
 
     comps = driver.run(connected_components)
     cores = driver.run(max_core, name="degeneracy")
-    katz = driver.run(katz_window, name="katz")
+    katz = driver.run(KatzProgram().solve_window, name="katz")
     degrees = driver.run(
         lambda v: degree_centrality(v, "total", normalized=False),
         name="degree",
@@ -50,7 +50,7 @@ def main() -> None:
         c = comps.windows[i]
         comp = c.value
         deg = degrees.windows[i].value
-        k = katz.windows[i].value.values  # kernel returns a PagerankResult
+        k = katz.windows[i].value.values  # solve_window returns a PagerankResult
         top_katz = int(np.argmax(k)) if k.sum() else -1
         rows.append(
             [

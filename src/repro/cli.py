@@ -635,10 +635,10 @@ def cmd_kernel(args, out) -> int:
     from repro.kernels import (
         TemporalKernelDriver,
         connected_components,
-        katz_window,
         max_core,
     )
     from repro.analysis import triangle_count
+    from repro.programs.katz import KatzProgram
     from repro.reporting import format_series
 
     events = _load_events(args.events)
@@ -648,7 +648,9 @@ def cmd_kernel(args, out) -> int:
         "components": (connected_components, lambda c: c.n_components),
         "maxcore": (max_core, float),
         "triangles": (triangle_count, float),
-        "katz": (katz_window, lambda r: float(r.values.max())),
+        "katz": (
+            KatzProgram().solve_window, lambda r: float(r.values.max())
+        ),
     }
     kernel, extract = kernels[args.name]
     result = driver.run(kernel, name=args.name)

@@ -9,8 +9,9 @@ temporal-CSR window machinery:
 * :mod:`repro.kernels.degree` — in/out degree centrality per window;
 * :mod:`repro.kernels.components` — connected components (union-find);
 * :mod:`repro.kernels.kcore` — k-core decomposition (peeling);
-* :mod:`repro.kernels.katz` — Katz centrality (iterative, with the same
-  partial-initialization warm start the paper develops for PageRank).
+* :mod:`repro.kernels.katz` — Katz centrality's parameters and the same
+  partial-initialization warm start the paper develops for PageRank; the
+  solver is :class:`repro.programs.katz.KatzProgram`.
 
 :class:`repro.programs.adapter.TemporalKernelDriver` (re-exported here)
 runs any per-window kernel over a window spec through the multi-window
@@ -20,8 +21,7 @@ representation on the vertex-program engine.
 from repro.kernels.degree import degree_centrality
 from repro.kernels.components import connected_components
 from repro.kernels.kcore import core_numbers, max_core
-from repro.kernels.katz import KatzConfig, katz_window, katz_partial_init
-from repro.kernels.katz_spmm import katz_windows_spmm
+from repro.kernels.katz import KatzConfig, katz_partial_init
 from repro.kernels.bfs import bfs_distances, bfs_levels
 from repro.kernels.closeness import closeness_centrality
 from repro.kernels.betweenness import betweenness_centrality
@@ -33,9 +33,7 @@ __all__ = [
     "core_numbers",
     "max_core",
     "KatzConfig",
-    "katz_window",
     "katz_partial_init",
-    "katz_windows_spmm",
     "bfs_distances",
     "bfs_levels",
     "closeness_centrality",

@@ -4,11 +4,12 @@
   tolerance, iteration cap, dangling-mass policy).
 * :mod:`repro.pagerank.reference` — slow, obviously-correct implementations
   used as test oracles.
-* :mod:`repro.pagerank.spmv` — the pull-style power iteration over a
-  masked temporal CSR window (the paper's SpMV kernel).
+* :mod:`repro.pagerank.spmv` — the pull-style power iteration over k
+  temporal CSR windows as the columns of one iterate, and the paper's
+  SpMV kernel as its k=1 case.
 * :mod:`repro.pagerank.init` — full and partial initialization (eq. 4).
 * :mod:`repro.pagerank.spmm` — the SpMM-inspired multi-window kernel
-  (Section 4.4).
+  (Section 4.4): the batch setup for the same power iteration.
 * :mod:`repro.pagerank.workspace` — reusable kernel scratch buffers shared
   across the windows of one partial-initialization chain.
 * :mod:`repro.pagerank.compaction` — per-window active-edge packing (the
@@ -22,7 +23,6 @@ from repro.pagerank.compaction import (
     CompactedUnion,
     compact_pull,
     compact_pull_union,
-    compact_pull_weighted,
     compact_push,
     resolve_edge_path,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "CompactedPull",
     "CompactedUnion",
     "compact_pull",
-    "compact_pull_weighted",
     "compact_pull_union",
     "compact_push",
     "resolve_edge_path",

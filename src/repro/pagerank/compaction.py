@@ -52,9 +52,9 @@ __all__ = [
     "CompactedPull",
     "CompactedUnion",
     "compact_pull",
-    "compact_pull_weighted",
     "compact_pull_union",
     "compact_push",
+    "pull_edges",
     "resolve_edge_path",
 ]
 
@@ -124,62 +124,45 @@ def _packed_indptr(
     return indptr
 
 
+def _pack(
+    mask: np.ndarray,
+    values: np.ndarray,
+    m: int,
+    workspace: Optional["Workspace"],
+    key: str,
+) -> np.ndarray:
+    """``values[mask]`` (``m`` entries).  With a workspace it lands in an
+    nnz-capacity buffer sliced to ``m``: the capacity is constant per
+    multi-window graph, so the chain reallocates at most once."""
+    if workspace is None:
+        return values[mask]
+    out = workspace.buffer(key, (values.size,), values.dtype)[:m]
+    return np.compress(mask, values, out=out)
+
+
 def compact_pull(
-    view: "WindowView", workspace: Optional["Workspace"] = None
+    view: "WindowView",
+    workspace: Optional["Workspace"] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> CompactedPull:
     """Pack ``view``'s active deduped in-edges into ``(indptr_c, col_c,
-    rows_c)``.
+    rows_c)``, plus their per-edge ``weights`` (the weighted kernel's
+    multiplicities) when given.
 
     One Θ(nnz) pass (a prefix sum over the already-computed per-row active
-    degrees plus two boolean compresses); every subsequent power iteration
+    degrees plus boolean compresses); every subsequent power iteration
     then costs Θ(|E_w|) instead of Θ(nnz).
     """
     in_csr = view.adjacency.in_csr
     dedup = view.in_dedup
-    indptr_c = _packed_indptr(view.in_degrees, workspace, "compact.indptr")
     m = view.n_active_edges
-    if workspace is None:
-        col_c = in_csr.col[dedup]
-        rows_c = in_csr.row_ids()[dedup]
-    else:
-        # nnz-capacity buffers sliced to m: the capacity is constant per
-        # multi-window graph, so the chain reallocates at most once
-        col_c = workspace.buffer("compact.col", (in_csr.nnz,), np.int64)[:m]
-        np.compress(dedup, in_csr.col, out=col_c)
-        rows_c = workspace.buffer(
-            "compact.rows", (in_csr.nnz,), np.int64
-        )[:m]
-        np.compress(dedup, in_csr.row_ids(), out=rows_c)
-    return CompactedPull(indptr=indptr_c, col=col_c, rows=rows_c)
-
-
-def compact_pull_weighted(
-    view: "WindowView",
-    dedup: np.ndarray,
-    weights: np.ndarray,
-    workspace: Optional["Workspace"] = None,
-) -> CompactedPull:
-    """Like :func:`compact_pull`, additionally packing the per-edge
-    multiplicities the weighted kernel derived for this window."""
-    in_csr = view.adjacency.in_csr
-    indptr_c = _packed_indptr(view.in_degrees, workspace, "compact.indptr")
-    m = view.n_active_edges
-    if workspace is None:
-        col_c = in_csr.col[dedup]
-        rows_c = in_csr.row_ids()[dedup]
-        weights_c = weights[dedup]
-    else:
-        nnz = in_csr.nnz
-        col_c = workspace.buffer("compact.col", (nnz,), np.int64)[:m]
-        np.compress(dedup, in_csr.col, out=col_c)
-        rows_c = workspace.buffer("compact.rows", (nnz,), np.int64)[:m]
-        np.compress(dedup, in_csr.row_ids(), out=rows_c)
-        weights_c = workspace.buffer(
-            "compact.weights", (nnz,), np.float64
-        )[:m]
-        np.compress(dedup, weights, out=weights_c)
     return CompactedPull(
-        indptr=indptr_c, col=col_c, rows=rows_c, weights=weights_c
+        indptr=_packed_indptr(view.in_degrees, workspace, "compact.indptr"),
+        col=_pack(dedup, in_csr.col, m, workspace, "compact.col"),
+        rows=_pack(dedup, in_csr.row_ids(), m, workspace, "compact.rows"),
+        weights=None if weights is None else _pack(
+            dedup, weights, m, workspace, "compact.weights"
+        ),
     )
 
 
@@ -213,22 +196,18 @@ def compact_pull_union(
     counts = segment_count(union, in_csr.indptr, cast_buffer=cast)
     indptr_u = _packed_indptr(counts, workspace, "compact.indptr")
     m = int(indptr_u[-1])
-
     if workspace is None:
-        col_u = in_csr.col[union]
-        rows_u = in_csr.row_ids()[union]
         active = np.empty((m, k), dtype=np.bool_)
     else:
-        col_u = workspace.buffer("compact.col", (nnz,), np.int64)[:m]
-        np.compress(union, in_csr.col, out=col_u)
-        rows_u = workspace.buffer("compact.rows", (nnz,), np.int64)[:m]
-        np.compress(union, in_csr.row_ids(), out=rows_u)
         active = workspace.buffer("compact.active", (nnz, k), np.bool_)[:m]
     positions = np.flatnonzero(union)
     for j, v in enumerate(views):
         active[:, j] = v.in_dedup[positions]
     return CompactedUnion(
-        indptr=indptr_u, col=col_u, rows=rows_u, active=active
+        indptr=indptr_u,
+        col=_pack(union, in_csr.col, m, workspace, "compact.col"),
+        rows=_pack(union, in_csr.row_ids(), m, workspace, "compact.rows"),
+        active=active,
     )
 
 
@@ -245,16 +224,59 @@ def compact_push(
     out_csr = view.adjacency.out_csr
     ts, te = view.window.t_start, view.window.t_end
     dedup = out_csr.dedup_mask(ts, te, workspace=workspace)
-    row_ids = out_csr.row_ids()
-    if workspace is None:
-        return row_ids[dedup], out_csr.col[dedup]
     m = int(np.count_nonzero(dedup))
-    nnz = out_csr.nnz
-    src = workspace.buffer("compact.push_src", (nnz,), np.int64)[:m]
-    dst = workspace.buffer("compact.push_dst", (nnz,), np.int64)[:m]
-    np.compress(dedup, row_ids, out=src)
-    np.compress(dedup, out_csr.col, out=dst)
-    return src, dst
+    return (
+        _pack(dedup, out_csr.row_ids(), m, workspace, "compact.push_src"),
+        _pack(dedup, out_csr.col, m, workspace, "compact.push_dst"),
+    )
+
+
+def pull_edges(
+    views: Sequence["WindowView"],
+    config: "PagerankConfig",
+    workspace: "Workspace",
+    iteration_hint: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The ``(col, rows, masks)`` edge list a pull over k same-graph
+    windows iterates.
+
+    Compacted, one window iterates its own packed edges (no masks) and k
+    windows their packed union with ``masks[:, j]`` marking window j's
+    edges; masked, the whole structure with each window's dedup mask as
+    a column.  Every form reduces to the same sums bitwise.
+    """
+    if not views:
+        raise ValidationError("need at least one window view")
+    adjacency = views[0].adjacency
+    if any(v.adjacency is not adjacency for v in views[1:]):
+        raise ValidationError(
+            "batched windows must all come from the same multi-window graph"
+        )
+    in_csr = adjacency.in_csr
+    nnz = in_csr.nnz
+    k = len(views)
+    # the union can't exceed the sum of the windows' active edges (nor
+    # nnz), so that bound stands in for its size in the auto decision —
+    # computing the real union only to discard it would cost the very
+    # Θ(nnz·k) pass the masked path avoids paying twice
+    est_union = min(nnz, sum(v.n_active_edges for v in views))
+    path = resolve_edge_path(
+        config, nnz, est_union, adjacency.n_vertices, iteration_hint
+    )
+    if path == "compacted":
+        if k == 1:
+            packed = views[0].compact_pull(workspace=workspace)
+            return packed.col, packed.rows, None
+        union = compact_pull_union(views, workspace=workspace)
+        return union.col, union.rows, union.active
+    if k == 1:
+        masks = views[0].in_dedup[:, None]
+    else:
+        masks = np.stack(
+            [v.in_dedup for v in views], axis=1,
+            out=workspace.buffer("pr.dedup", (nnz, k), np.bool_),
+        )
+    return in_csr.col, in_csr.row_ids(), masks
 
 
 def resolve_edge_path(

@@ -26,7 +26,7 @@ from repro.graph.temporal_csr import WindowView
 from repro.pagerank.compaction import compact_push
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import PagerankResult
-from repro.pagerank.spmv import power_iteration
+from repro.pagerank.spmv import pagerank_columns, start_vector
 from repro.pagerank.workspace import Workspace
 
 __all__ = [
@@ -106,12 +106,12 @@ class PropagationBlockingKernel:
         )
         self.bin_width = bin_width
 
-    def iterate(self, w: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    def iterate(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One push phase: ``y[v] = Σ_{(u, v) active} w[u]`` via binning.
 
-        ``w`` is the per-source share vector (``x * inv_outdeg``).  ``out``
-        optionally receives the result in place (fully overwritten); the
-        gather buffer is recycled across iterations through the kernel's
+        ``w`` is the per-source share vector (``x * inv_outdeg``); ``out``
+        receives the result in place (fully overwritten).  The gather
+        buffer is recycled across iterations through the kernel's
         workspace.
         """
         # phase 1: binning — one streaming gather into bin-grouped buffers
@@ -121,14 +121,10 @@ class PropagationBlockingKernel:
         np.take(w, self.src, out=contrib)
         # phase 2: per-bin accumulation — each bin's destination range is
         # contiguous and cache-sized
-        if out is None:
-            y = np.zeros(self.n_vertices, dtype=np.float64)
-        else:
-            y = out
-            y.fill(0)
+        out.fill(0)
         return accumulate_binned(
             contrib, self.dst, self.bin_starts, self.bin_ends,
-            self.bin_width, y,
+            self.bin_width, out,
         )
 
 
@@ -149,19 +145,18 @@ def pagerank_window_pb(
     freshly owned.
     """
     n = view.adjacency.n_vertices
-    if view.n_active_vertices == 0:
-        return PagerankResult.inactive(n)
     if kernel is None:
         kernel = PropagationBlockingKernel(
             view, n_bins=n_bins, workspace=workspace
         )
     ws = workspace if workspace is not None else kernel.workspace
-    # precomputed dangling index set: the boolean-mask formulation
-    # re-scans and copies Θ(n) every iteration
-    dangling_idx = np.flatnonzero(
-        view.active_vertices_mask & (view.out_degrees == 0)
-    )
-    return power_iteration(
-        view, config, x0, ws, view.inverse_out_degrees(), dangling_idx,
-        kernel.iterate, kernel.src.size, kernel.src.size,
-    )
+    if x0 is not None:
+        x0 = start_vector(x0, (n,))[:, None]
+
+    def propagate(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return kernel.iterate(W[:, 0], out[:, 0])
+
+    return pagerank_columns(
+        [view], config, x0, ws, view.inverse_out_degrees()[None],
+        propagate, kernel.src.size,
+    ).single()

@@ -102,6 +102,16 @@ class BatchPagerankResult:
     residuals: np.ndarray
     work: WorkStats = field(default_factory=WorkStats)
 
+    def single(self) -> PagerankResult:
+        """The result of a one-column batch, work counters included."""
+        return PagerankResult(
+            values=self.values[:, 0],
+            iterations=int(self.iterations_per_window[0]),
+            converged=bool(self.converged[0]),
+            residual=float(self.residuals[0]),
+            work=self.work,
+        )
+
     def column(self, window_index: int) -> PagerankResult:
         """Extract one window's result from the batch."""
         j = self.window_indices.index(window_index)

@@ -26,136 +26,294 @@ the active deduped edges once per window and iterates over only the
 asks the cost model, using the chain's ``iteration_hint`` when the driver
 supplies one).
 
-:func:`power_iteration` is the loop around that step.  The weighted
-(:mod:`repro.pagerank.weighted`) and propagation-blocking
-(:mod:`repro.pagerank.propagation_blocking`) kernels run it too, each
-supplying only its inverse-degree vector, dangling set, propagate step and
-per-iteration edge counts.
+:func:`power_iteration` is the loop around that step, and the only one:
+it advances k vectors as the columns of one ``(n, k)`` iterate, so the
+SpMM kernel (:mod:`repro.pagerank.spmm`) is this loop at width k and
+SpMV is its k=1 case.  Every column's vertex-side arithmetic (dangling
+mass, teleport, residual) is a separate 1-D computation in one fixed
+order, so each SpMM column is bitwise equal to SpMV on its window.  The
+weighted (:mod:`repro.pagerank.weighted`) and propagation-blocking
+(:mod:`repro.pagerank.propagation_blocking`) kernels run it at k=1, and
+Katz (:mod:`repro.programs.katz`) runs it with its own vertex step.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.graph.temporal_csr import WindowView
-from repro.pagerank.compaction import resolve_edge_path
+from repro.pagerank.compaction import pull_edges
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.init import full_initialization
-from repro.pagerank.result import PagerankResult, WorkStats
+from repro.pagerank.result import BatchPagerankResult, PagerankResult, WorkStats
 from repro.pagerank.workspace import Workspace
 from repro.utils.segments import gather_reduce
 
-__all__ = ["pagerank_window", "power_iteration"]
+__all__ = [
+    "pagerank_columns",
+    "pagerank_window",
+    "power_iteration",
+    "pull_step",
+    "start_vector",
+]
 
-#: ``propagate(w, out)``: write ``Σ_{(u, v)} w[u]`` over the window's
-#: in-edges into ``out`` (fully overwritten)
+#: ``propagate(W, out)``: for the kl live columns, write
+#: ``out[v, p] = Σ_{(u, v)} W[u, p]`` over column p's in-edges; ``W`` and
+#: ``out`` are ``(n, kl)`` and ``out`` is fully overwritten
 Propagate = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: ``update(j, x, y)``: turn column j's propagated sums ``y`` (in place)
+#: into its next iterate, given its current iterate ``x``, and return the
+#: residual that decides its convergence
+Update = Callable[[int, np.ndarray, np.ndarray], float]
+
+
+def start_vector(x0, shape: Tuple[int, ...]) -> np.ndarray:
+    """``x0`` as float64, checked against the kernel's expected shape."""
+    x = np.asarray(x0, dtype=np.float64)
+    if x.shape != shape:
+        raise ValidationError(f"x0 must have shape {shape}, got {x.shape}")
+    return x
+
+
+def pull_step(
+    col: np.ndarray,
+    rows: np.ndarray,
+    n: int,
+    masks: Optional[np.ndarray],
+    workspace: Workspace,
+    capacity: int,
+    weights: Optional[np.ndarray] = None,
+) -> Propagate:
+    """The gather→reduce :data:`Propagate` step over one edge list.
+
+    ``masks`` is the ``(m, k)`` per-column edge activity (``None`` when
+    every edge is active in every column); :func:`power_iteration` keeps
+    its columns aligned with the live columns.  ``weights`` are optional
+    per-edge multiplicities shared by all columns.  The gather buffer is
+    pooled at ``capacity * k`` (the structure's nnz, constant along a
+    chain) and sliced to the live width.
+    """
+    m = col.size
+    k = 1 if masks is None else masks.shape[1]
+    contrib = workspace.buffer("pr.contrib", (capacity * k,), np.float64)
+    staging = (
+        workspace.buffer("pr.colbuf", (capacity,), np.float64)[:m]
+        if k > 1 else None
+    )
+    if weights is not None:
+        weights = weights[:, None]
+
+    def propagate(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        kl = W.shape[1]
+        return gather_reduce(
+            W, col, rows, n,
+            mask=None if masks is None else masks[:, :kl],
+            weights=weights, out=out,
+            contrib=contrib[: m * kl].reshape(m, kl), scratch=staging,
+        )
+
+    return propagate
 
 
 def power_iteration(
-    view: WindowView,
-    config: PagerankConfig,
-    x0: Optional[np.ndarray],
+    starts: Sequence[np.ndarray],
+    config,
     workspace: Workspace,
-    inv_degree: np.ndarray,
-    dangling_idx: np.ndarray,
     propagate: Propagate,
+    update: Update,
+    windows: Sequence[Optional[int]],
+    n_active: Sequence[int],
+    active_edges: Sequence[int],
     edge_traversals: int,
-    active_edge_traversals: int,
-) -> PagerankResult:
-    """Run PageRank's power iteration on one non-empty window.
+    share: Optional[np.ndarray] = None,
+    masks: Optional[np.ndarray] = None,
+) -> BatchPagerankResult:
+    """Advance k vectors together until each converges.
+
+    One iteration forms the live columns' per-source shares ``W``
+    (the iterate times ``share``, or the iterate itself), propagates them
+    in one structure pass, and hands each live column to ``update``.  A
+    column whose residual drops below ``config.tolerance`` freezes: its
+    iterate is recorded and it leaves the live set while the others keep
+    iterating.  Empty columns (``n_active == 0``) converge at iteration 0
+    with all-zero values.
 
     Parameters
     ----------
-    view:
-        The window (activity mask, active vertex count, index).
-    x0:
-        Optional initial vector; defaults to the uniform full
-        initialization.
+    starts:
+        ``(n,)`` initial vector per column.
+    config:
+        Supplies ``tolerance``, ``max_iterations`` and ``strict``.
     workspace:
-        Supplies the rank ping-pong pair and the share, residual and
-        dangling scratch, so a multi-window chain pays the allocator once
-        instead of per window per iteration.  The returned values are
-        always a freshly owned array.
-    inv_degree:
-        ``(n,)`` per-source normalizer (inverse out-degree, or inverse
-        out-strength for the weighted kernel); 0 for dangling sources.
-    dangling_idx:
-        Active vertices without out-edges, whose mass ``"uniform"``
-        dangling redistributes.
-    propagate:
-        The kernel's gather→reduce step (see :data:`Propagate`).
-    edge_traversals / active_edge_traversals:
-        Per-iteration :class:`~repro.pagerank.result.WorkStats` counts.
+        Supplies the iterate ping-pong pair and the share buffer, so a
+        multi-window chain pays the allocator once instead of per window
+        per iteration.  Returned values are always freshly owned.
+    windows:
+        Per-column label: the window index, or ``None`` for a snapshot.
+    n_active / active_edges:
+        Per-column active vertices and per-iteration active edges, for
+        the :class:`~repro.pagerank.result.WorkStats` counts.
+    edge_traversals:
+        Edges one structure pass touches, shared by all live columns.
+    share:
+        Optional ``(k, n)`` per-source normalizer (inverse out-degree or
+        out-strength).
+    masks:
+        The ``(m, k)`` column masks ``propagate`` reads.  The live
+        columns are kept as a prefix: a converged column's row of
+        ``share`` and column of ``masks`` are overwritten by the last
+        live one, so for k > 1 both must be scratch owned by this solve.
     """
-    n = view.adjacency.n_vertices
-    n_active = view.n_active_vertices
-    active_mask = view.active_vertices_mask
+    k = len(starts)
+    n = starts[0].shape[0]
     ws = workspace
-    # ping-pong rank buffers: x and y alternate between the pair so an
-    # iteration never reads the array it is writing
-    rank0 = ws.buffer("pr.rank0", (n,), np.float64)
-    rank1 = ws.buffer("pr.rank1", (n,), np.float64)
-    w_buf = ws.buffer("pr.w", (n,), np.float64)
-    resid = ws.buffer("pr.resid", (n,), np.float64)
-    # sized (n,) and sliced, so windows with different dangling counts
-    # reuse one buffer instead of reallocating per window
-    dang_buf = ws.buffer("pr.dangling", (n,), np.float64)[: dangling_idx.size]
+    # ping-pong iterates, one row per column: an iteration reads rows of
+    # X and writes the same rows of Y, never the array it is reading
+    X = ws.buffer("pr.rank0", (k, n), np.float64)
+    Y = ws.buffer("pr.rank1", (k, n), np.float64)
+    shares = ws.buffer("pr.w", (n * k,), np.float64)
+    for p, x in enumerate(starts):
+        X[p] = x
 
-    if x0 is None:
-        x = full_initialization(view)
-    else:
-        x = np.asarray(x0, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValidationError(
-                f"x0 must have shape ({n},), got {x.shape}"
-            )
-    np.copyto(rank0, x)
-    x = rank0
-
-    alpha = config.alpha
-    damping = config.damping
-    teleport = alpha / n_active
-    residual = np.inf
+    values = np.zeros((n, k), dtype=np.float64)
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=np.bool_)
+    residuals = np.zeros(k, dtype=np.float64)
+    live: List[int] = list(range(k))  # live[p]: the column in row p
     work = WorkStats()
 
-    for it in range(1, config.max_iterations + 1):
-        t_prop = time.perf_counter()
-        np.multiply(x, inv_degree, out=w_buf)
-        y = rank1 if x is rank0 else rank0
-        propagate(w_buf, y)
-        work.propagate_seconds += time.perf_counter() - t_prop
-        y *= damping
-        if config.dangling == "uniform" and dangling_idx.size:
-            np.take(x, dangling_idx, out=dang_buf)
-            dangling_mass = float(dang_buf.sum())
-            if dangling_mass:
-                y[active_mask] += damping * dangling_mass / n_active
-        y[active_mask] += teleport
-        y[~active_mask] = 0.0
+    def leave(p: int, state: np.ndarray) -> None:
+        # move the last live column into row p so the live columns stay
+        # a prefix of every per-column array
+        last = len(live) - 1
+        if p != last:
+            live[p] = live[last]
+            state[p] = state[last]
+            if share is not None:
+                share[p] = share[last]
+            if masks is not None:
+                masks[:, p] = masks[:, last]
+        live.pop()
 
-        np.subtract(y, x, out=resid)
-        np.abs(resid, out=resid)
-        residual = float(resid.sum())
-        x = y
+    for p in reversed(range(k)):
+        if not n_active[p]:
+            converged[p] = True
+            leave(p, X)
+
+    for it in range(1, config.max_iterations + 1):
+        kl = len(live)
+        if not kl:
+            break
+        t_prop = time.perf_counter()
+        W = shares[: n * kl].reshape(n, kl)
+        if share is None:
+            np.copyto(W, X[:kl].T)
+        else:
+            np.multiply(X[:kl].T, share[:kl].T, out=W)
+        propagate(W, Y[:kl].T)
+        work.propagate_seconds += time.perf_counter() - t_prop
+
+        done = []
+        for p, j in enumerate(live):
+            residuals[j] = update(j, X[p], Y[p])
+            if residuals[j] < config.tolerance:
+                done.append(p)
+        iterations[live] = it
         work.iterations += 1
         work.edge_traversals += edge_traversals
-        work.active_edge_traversals += active_edge_traversals
-        work.vertex_ops += n_active
-        if residual < config.tolerance:
-            return PagerankResult(x.copy(), it, True, residual, work)
+        work.active_edge_traversals += sum(active_edges[j] for j in live)
+        work.vertex_ops += sum(n_active[j] for j in live)
+        for p in reversed(done):
+            j = live[p]
+            converged[j] = True
+            values[:, j] = Y[p]
+            leave(p, Y)
+        X, Y = Y, X
 
-    if config.strict:
-        raise ConvergenceError(
-            f"window {view.window.index} did not converge in "
-            f"{config.max_iterations} iterations (residual {residual:.3e})"
-        )
-    return PagerankResult(
-        x.copy(), config.max_iterations, False, residual, work
+    for p, j in enumerate(live):
+        values[:, j] = X[p]
+    if config.strict and live:
+        raise ConvergenceError("; ".join(
+            f"{'snapshot' if windows[j] is None else f'window {windows[j]}'}"
+            f" did not converge in {config.max_iterations} iterations "
+            f"(residual {residuals[j]:.3e})"
+            for j in sorted(live)
+        ))
+    return BatchPagerankResult(
+        values=values,
+        window_indices=list(windows),
+        iterations_per_window=iterations,
+        converged=converged,
+        residuals=residuals,
+        work=work,
+    )
+
+
+def pagerank_columns(
+    views: Sequence[WindowView],
+    config: PagerankConfig,
+    x0: Optional[np.ndarray],
+    workspace: Workspace,
+    share: np.ndarray,
+    propagate: Propagate,
+    edge_traversals: int,
+    masks: Optional[np.ndarray] = None,
+    dangling: Optional[Sequence[np.ndarray]] = None,
+) -> BatchPagerankResult:
+    """PageRank's vertex step on :func:`power_iteration` over ``views``.
+
+    ``x0`` is an optional ``(n, k)`` start (full initialization per
+    column when absent); ``share`` the ``(k, n)`` inverse out-degrees (or
+    out-strengths); ``dangling`` each column's active vertices without
+    out-edges, whose mass ``"uniform"`` dangling redistributes (zero
+    out-degree vertices when absent).
+    """
+    n = views[0].adjacency.n_vertices
+    if dangling is None:
+        # precomputed index sets: the boolean-mask formulation
+        # (`x[dangling].sum()`) re-scans and copies Θ(n) every iteration
+        dangling = [
+            np.flatnonzero(v.active_vertices_mask & (v.out_degrees == 0))
+            for v in views
+        ]
+    if x0 is None:
+        starts = [full_initialization(v) for v in views]
+    else:
+        starts = list(start_vector(x0, (n, len(views))).T)
+    active = [v.active_vertices_mask for v in views]
+    inactive = [~a for a in active]
+    n_active = [v.n_active_vertices for v in views]
+    damping = config.damping
+    uniform = config.dangling == "uniform"
+    resid = workspace.buffer("pr.resid", (n,), np.float64)
+    # sized (n,) and sliced, so windows with different dangling counts
+    # reuse one buffer instead of reallocating per window
+    dang_buf = workspace.buffer("pr.dangling", (n,), np.float64)
+
+    def update(j: int, x: np.ndarray, y: np.ndarray) -> float:
+        y *= damping
+        if uniform and dangling[j].size:
+            mass_buf = dang_buf[: dangling[j].size]
+            np.take(x, dangling[j], out=mass_buf)
+            dangling_mass = float(mass_buf.sum())
+            if dangling_mass:
+                y[active[j]] += damping * dangling_mass / n_active[j]
+        y[active[j]] += config.alpha / n_active[j]
+        y[inactive[j]] = 0.0
+        np.subtract(y, x, out=resid)
+        np.abs(resid, out=resid)
+        return float(resid.sum())
+
+    return power_iteration(
+        starts, config, workspace, propagate, update,
+        [v.window.index for v in views], n_active,
+        [v.n_active_edges for v in views], edge_traversals,
+        share=share, masks=masks,
     )
 
 
@@ -197,33 +355,14 @@ def pagerank_window(
         hold exactly 0.
     """
     n = view.adjacency.n_vertices
-    if view.n_active_vertices == 0:
-        return PagerankResult.inactive(n)
+    if x0 is not None:
+        x0 = start_vector(x0, (n,))[:, None]
     ws = workspace if workspace is not None else Workspace()
-
-    in_csr = view.adjacency.in_csr
-    nnz = in_csr.nnz
-    path = resolve_edge_path(
-        config, nnz, view.n_active_edges, n, iteration_hint
+    col, rows, masks = pull_edges([view], config, ws, iteration_hint)
+    propagate = pull_step(
+        col, rows, n, masks, ws, view.adjacency.in_csr.nnz
     )
-    if path == "compacted":
-        packed = view.compact_pull(workspace=ws)
-        col, rows, mask = packed.col, packed.rows, None
-    else:
-        col, rows, mask = in_csr.col, in_csr.row_ids(), view.in_dedup
-    contrib = ws.buffer("pr.contrib", (nnz,), np.float64)[: col.size]
-
-    def propagate(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return gather_reduce(
-            w, col, rows, n, mask=mask, out=out, contrib=contrib
-        )
-
-    # precomputed dangling index set: the boolean-mask formulation
-    # (`x[dangling].sum()`) re-scans and copies Θ(n) every iteration
-    dangling_idx = np.flatnonzero(
-        view.active_vertices_mask & (view.out_degrees == 0)
-    )
-    return power_iteration(
-        view, config, x0, ws, view.inverse_out_degrees(), dangling_idx,
-        propagate, col.size, view.n_active_edges,
-    )
+    return pagerank_columns(
+        [view], config, x0, ws, view.inverse_out_degrees()[None],
+        propagate, col.size, masks,
+    ).single()

@@ -25,12 +25,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.temporal_csr import TemporalCSR, WindowView
-from repro.pagerank.compaction import compact_pull_weighted, resolve_edge_path
+from repro.pagerank.compaction import compact_pull, resolve_edge_path
 from repro.pagerank.config import PagerankConfig
 from repro.pagerank.result import PagerankResult
-from repro.pagerank.spmv import power_iteration
+from repro.pagerank.spmv import pagerank_columns, pull_step, start_vector
 from repro.pagerank.workspace import Workspace
-from repro.utils.segments import gather_reduce
 
 __all__ = ["window_edge_weights", "pagerank_window_weighted"]
 
@@ -68,18 +67,16 @@ def pagerank_window_weighted(
     """Multiplicity-weighted PageRank for one window.
 
     Same convergence/dangling semantics as the unweighted kernel (it runs
-    the same :func:`~repro.pagerank.spmv.power_iteration`); with all
+    the same :func:`~repro.pagerank.spmv.power_iteration` at k=1); with all
     multiplicities equal to 1 the two kernels coincide exactly (tested).
     ``workspace`` recycles the per-iteration share/contribution/rank
     scratch; returned values are always freshly owned.  ``config.
     edge_path="compacted"`` packs the active edges *and* their
     multiplicities once (:func:`~repro.pagerank.compaction.
-    compact_pull_weighted`) so each iteration streams Θ(|E_w|) —
+    compact_pull`) so each iteration streams Θ(|E_w|) —
     bitwise-identical to the masked path.
     """
     n = view.adjacency.n_vertices
-    if view.n_active_vertices == 0:
-        return PagerankResult.inactive(n)
     ws = workspace if workspace is not None else Workspace()
 
     in_csr = view.adjacency.in_csr
@@ -100,20 +97,15 @@ def pagerank_window_weighted(
         config, nnz, view.n_active_edges, n, iteration_hint
     )
     if path == "compacted":
-        packed = compact_pull_weighted(view, dedup, weights, workspace=ws)
-        col, rows, mask = packed.col, packed.rows, None
+        packed = compact_pull(view, workspace=ws, weights=weights)
+        col, rows, masks = packed.col, packed.rows, None
         weights = packed.weights
     else:
-        col, rows, mask = in_csr.col, in_csr.row_ids(), dedup
-    contrib = ws.buffer("pr.contrib", (nnz,), np.float64)[: col.size]
-
-    def propagate(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return gather_reduce(
-            w, col, rows, n, mask=mask, weights=weights, out=out,
-            contrib=contrib,
-        )
-
-    return power_iteration(
-        view, config, x0, ws, inv_strength, dangling_idx, propagate,
-        col.size, view.n_active_edges,
-    )
+        col, rows, masks = in_csr.col, in_csr.row_ids(), dedup[:, None]
+    if x0 is not None:
+        x0 = start_vector(x0, (n,))[:, None]
+    propagate = pull_step(col, rows, n, masks, ws, nnz, weights=weights)
+    return pagerank_columns(
+        [view], config, x0, ws, inv_strength[None], propagate, col.size,
+        masks, dangling=[dangling_idx],
+    ).single()

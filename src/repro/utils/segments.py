@@ -137,7 +137,8 @@ def segment_sum_ordered(
         its internal Θ(n_rows) allocation per call remains either way.
     scratch:
         Optional ``(nnz,)`` float64 buffer for the 2-D case: each strided
-        column is staged through it so ``bincount`` reads contiguously.
+        column is staged through it so ``bincount`` reads contiguously
+        (a one-column input is already contiguous and is read in place).
     """
     values = np.asarray(values)
     if values.shape[0] != row_ids.shape[0]:
@@ -156,7 +157,7 @@ def segment_sum_ordered(
         out = np.empty((n_rows, k), dtype=np.float64)
     for j in range(k):
         col = values[:, j]
-        if scratch is not None:
+        if scratch is not None and not col.flags.c_contiguous:
             np.copyto(scratch, col)
             col = scratch
         out[:, j] = np.bincount(row_ids, weights=col, minlength=n_rows)

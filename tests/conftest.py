@@ -9,6 +9,7 @@ import pytest
 
 from repro.events import TemporalEventSet, WindowSpec
 from repro.graph import TemporalAdjacency
+from repro.kernels.katz import KatzConfig
 from repro.pagerank import PagerankConfig
 from repro.sanitize import enable_sanitizers, sanitizers_enabled
 
@@ -47,6 +48,36 @@ def random_events(
         src, dst = src[keep], dst[keep]
     time = np.sort(rng.integers(0, t_max, src.size))
     return TemporalEventSet(src, dst, time, n_vertices=n_vertices)
+
+
+def katz_direct(view, config: KatzConfig = KatzConfig()) -> np.ndarray:
+    """Katz centrality of one window by a direct sparse solve — the
+    oracle for the iterative Katz solver.
+
+    Solves ``(I - a A^T) x = b 1_active`` over the window's active
+    deduplicated in-edges with ``scipy.sparse.linalg.spsolve`` and
+    normalizes to unit L1 mass.  The attenuation clamp below ``0.9 /
+    max degree`` is recomputed here from the edge list.
+    """
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import spsolve
+
+    n = view.adjacency.n_vertices
+    active = view.active_vertices_mask
+    n_active = int(active.sum())
+    if n_active == 0:
+        return np.zeros(n)
+    in_csr = view.adjacency.in_csr
+    dst = in_csr.row_ids()[view.in_dedup]
+    src = in_csr.col[view.in_dedup]
+    a = config.attenuation
+    if config.auto_clamp and src.size:
+        dmax = max(np.bincount(dst).max(), np.bincount(src).max())
+        a = min(a, 0.9 / dmax)
+    a_t = csc_matrix((np.ones(src.size), (dst, src)), shape=(n, n))
+    b = np.where(active, config.base / n_active, 0.0)
+    x = spsolve((identity(n, format="csc") - a * a_t).tocsc(), b)
+    return x / x.sum()
 
 
 @pytest.fixture

@@ -13,10 +13,14 @@ from repro.kernels import (
     core_numbers,
     degree_centrality,
     katz_partial_init,
-    katz_window,
     max_core,
 )
-from tests.conftest import random_events
+from repro.programs.katz import KatzProgram
+from tests.conftest import katz_direct, random_events
+
+
+def solve_katz(view, config=KatzConfig(), x0=None):
+    return KatzProgram(config=config).solve_window(view, x0)
 
 
 @pytest.fixture
@@ -148,7 +152,8 @@ class TestKatz:
         view = adj.window_view(Window(0, 0, 10_000))
         cfg = KatzConfig(attenuation=0.05, tolerance=1e-12,
                          max_iterations=1000, auto_clamp=False)
-        ours = katz_window(view, cfg)
+        ours = solve_katz(view, cfg)
+        assert np.allclose(ours.values, katz_direct(view, cfg), atol=1e-10)
 
         g = nx.DiGraph()
         compact = view.compact_graph()
@@ -169,8 +174,9 @@ class TestKatz:
     def test_converges_and_positive(self, adjacency, spec):
         for w in spec:
             view = adjacency.window_view(w)
-            r = katz_window(view)
+            r = solve_katz(view)
             assert r.converged
+            assert np.allclose(r.values, katz_direct(view), atol=1e-8)
             active = view.active_vertices_mask
             assert np.all(r.values[active] > 0)
             assert np.all(r.values[~active] == 0)
@@ -181,17 +187,17 @@ class TestKatz:
         cfg = KatzConfig(attenuation=0.9, auto_clamp=True,
                          max_iterations=500)
         view = adjacency.window_view(spec.window(0))
-        r = katz_window(view, cfg)
+        r = solve_katz(view, cfg)
         assert r.converged
 
     def test_warm_start_helps_or_equal(self, adjacency, spec):
         cfg = KatzConfig(tolerance=1e-11, max_iterations=500)
         v0 = adjacency.window_view(spec.window(0))
         v1 = adjacency.window_view(spec.window(1))
-        prev = katz_window(v0, cfg)
+        prev = solve_katz(v0, cfg)
         x0 = katz_partial_init(v1, v0, prev.values)
-        warm = katz_window(v1, cfg, x0=x0)
-        cold = katz_window(v1, cfg)
+        warm = solve_katz(v1, cfg, x0=x0)
+        cold = solve_katz(v1, cfg)
         assert np.allclose(warm.values, cold.values, atol=1e-8)
         assert warm.iterations <= cold.iterations + 1
 

@@ -16,7 +16,7 @@ from repro.events import WindowSpec
 from repro.graph import TemporalAdjacency
 from repro.graph.csr import build_csr_from_edges
 from repro.graph.multiwindow import MultiWindowPartition
-from repro.kernels.katz import KatzConfig, katz_window
+from repro.kernels.katz import KatzConfig
 from repro.models.postmortem import PostmortemDriver, PostmortemOptions
 from repro.pagerank import (
     PagerankConfig,
@@ -37,10 +37,10 @@ from repro.programs import (
 )
 from repro.programs.adapter import CallableProgram
 from repro.programs.engine import solve_program_chain
-from repro.programs.katz import KatzProgram, katz_window_backend
+from repro.programs.katz import KatzProgram
 from repro.programs.kcore import KCoreProgram
 from repro.runtime import DriverContext
-from tests.conftest import random_events
+from tests.conftest import katz_direct, random_events
 
 VECTOR_LENGTH = 4
 N_MULTIWINDOWS = 3
@@ -243,19 +243,18 @@ class TestEngineBitwiseGrid:
 
 
 class TestKatzProgram:
-    def test_backend_kernel_matches_segment_sum(self, setup):
-        """Backend propagation and the legacy reduceat kernel agree on
-        the normalized fixed point (different summation orders)."""
+    def test_solve_window_matches_direct_solve(self, setup):
+        """The iterative solve and an independent direct sparse solve
+        agree on the normalized fixed point."""
         events, spec = setup
         adj = TemporalAdjacency.from_events(events)
         cfg = KatzConfig(tolerance=1e-12, max_iterations=500)
+        program = KatzProgram(config=cfg)
         for i in range(min(spec.n_windows, 4)):
             view = adj.window_view(spec.window(i))
-            ours = katz_window_backend(view, cfg, PagerankConfig())
-            legacy = katz_window(view, cfg)
-            assert np.allclose(
-                ours.values, legacy.values, atol=1e-9
-            ), i
+            ours = program.solve_window(view)
+            direct = katz_direct(view, cfg)
+            assert np.allclose(ours.values, direct, atol=1e-9), i
 
     def test_warm_start_converges_no_slower(self, setup):
         events, spec = setup

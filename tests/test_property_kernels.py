@@ -12,8 +12,9 @@ from repro.kernels import (
     connected_components,
     core_numbers,
     degree_centrality,
-    katz_window,
 )
+from repro.programs.katz import KatzProgram
+from tests.conftest import katz_direct
 
 
 @st.composite
@@ -97,10 +98,11 @@ def test_betweenness_nonnegative_and_bounded(view):
 @given(window_views())
 @settings(max_examples=40, deadline=None)
 def test_katz_is_distribution(view):
-    r = katz_window(view)
+    r = KatzProgram().solve_window(view)
     if view.n_active_vertices:
         assert np.isclose(r.values.sum(), 1.0, atol=1e-8)
         assert np.all(r.values >= 0)
+        assert np.allclose(r.values, katz_direct(view), atol=1e-7)
 
 
 @given(window_views())
